@@ -6,6 +6,11 @@ a level tuple ``x`` in a column tuple ``j`` is the number of rows matching
 tuple exactly ``N / s^t`` times. The tolerance is the worst deviation from
 that target, the p-unbalance the sum of p-th powers of all deviations.
 
+All strength-t counting goes through one table, ``_count_table(a, t)``: row r
+holds the level-tuple counts of the r-th column t-tuple.  Tolerance,
+unbalance, bandwidth and ``is_oa`` here, the pairwise criteria in ``metrics``
+and the incremental tables of ``search`` and ``ipmodel`` are all read off it.
+
 All counting metrics are exact: deviations are computed as integers scaled by
 ``s^t`` and reduced at the end, so results are python ints (or Fractions when
 ``s^t`` does not divide ``N``).
@@ -107,17 +112,53 @@ def _check_strength(a: Array, t: int) -> None:
         raise ValueError(f"strength t={t} out of range 1..{a.n_factors}")
 
 
-def _column_tuples(k: int, t: int):
-    return itertools.combinations(range(k), t)
+_CHUNK_BYTES = 1 << 24
+"""Bound on the temporaries of one chunk of column tuples in ``_count_table``."""
 
 
-def _tuple_counts(a: Array, cols: tuple[int, ...]) -> np.ndarray:
-    """Counts of all s^t level tuples in the given columns (coded base s)."""
-    s = a.n_levels
-    code = np.zeros(a.n_runs, dtype=np.int64)
-    for c in cols:
-        code = code * s + (a.cells[:, c] - 1)
-    return np.bincount(code, minlength=s ** len(cols))
+def _count_table(a: Array, t: int) -> np.ndarray:
+    """Level-tuple counts of every column t-tuple.
+
+    Returns an int64 matrix of shape C(k,t) x s^t.  Row r counts the level
+    tuples of the r-th column tuple in ``itertools.combinations`` order; a
+    level tuple is coded base s with the first column most significant.
+    Column tuples are counted in chunks by one offset-coded ``np.bincount``
+    each, so the temporaries of a chunk stay within ``_CHUNK_BYTES``.
+    """
+    _check_strength(a, t)
+    n, s, st = a.n_runs, a.n_levels, a.n_levels**t
+    levels = np.ascontiguousarray(a.cells.T - 1)
+    table = np.empty((math.comb(a.n_factors, t), st), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * (2 * n + st + t)))
+    tuples = itertools.combinations(range(a.n_factors), t)
+    for lo in range(0, len(table), step):
+        flat = itertools.chain.from_iterable(itertools.islice(tuples, step))
+        chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
+        code = levels[chunk[:, 0]]
+        for c in range(1, t):
+            code *= s
+            code += levels[chunk[:, c]]
+        code += np.arange(0, len(chunk) * st, st)[:, None]
+        table[lo : lo + len(chunk)] = np.bincount(
+            code.ravel(), minlength=len(chunk) * st
+        ).reshape(-1, st)
+    return table
+
+
+def _pair_rows(k: int) -> np.ndarray:
+    """k x k map from a column pair, in either order, to its t=2 table row."""
+    rows = np.zeros((k, k), dtype=np.intp)
+    rows[np.triu_indices(k, 1)] = np.arange(math.comb(k, 2))
+    return rows + rows.T
+
+
+def _balanced_pairs(a: Array) -> np.ndarray:
+    """k x k bool matrix: columns i and j form a strength-2 OA (True for i = j).
+
+    ``pairs[np.ix_(cols, cols)].all()`` is ``is_oa(a.select_columns(cols), 2)``.
+    """
+    balanced = np.all(_count_table(a, 2) * a.n_levels**2 == a.n_runs, axis=1)
+    return balanced[_pair_rows(a.n_factors)] | np.eye(a.n_factors, dtype=bool)
 
 
 def count_tuple(a: Array, x, j) -> int:
@@ -155,26 +196,16 @@ def count_tuple(a: Array, x, j) -> int:
 
 def is_oa(a: Array, t: int) -> bool:
     """Whether every t-tuple count equals N/s^t exactly (strength-t OA)."""
-    _check_strength(a, t)
-    st = a.n_levels**t
-    if a.n_runs % st:
-        return False
-    lam = a.n_runs // st
-    return all(
-        np.all(_tuple_counts(a, cols) == lam)
-        for cols in _column_tuples(a.n_factors, t)
-    )
+    table = _count_table(a, t)
+    return bool(np.all(table * a.n_levels**t == a.n_runs))
 
 
 def tolerance(a: Array, t: int) -> Exact:
     """Largest deviation ``|count - N/s^t|`` over all tuples and columns."""
-    _check_strength(a, t)
-    st = a.n_levels**t
-    worst = 0
-    for cols in _column_tuples(a.n_factors, t):
-        counts = _tuple_counts(a, cols)
-        dev = np.abs(counts * st - a.n_runs)
-        worst = max(worst, int(dev.max()))
+    table = _count_table(a, t)
+    st, n = a.n_levels**t, a.n_runs
+    # |c*s^t - N| is convex in c, so the extreme counts attain the maximum
+    worst = max(abs(int(table.min()) * st - n), abs(int(table.max()) * st - n))
     return _as_exact(worst, st)
 
 
@@ -186,20 +217,17 @@ def unbalance(a: Array, t: int, p) -> Exact | float:
     _check_strength(a, t)
     if p < 1:
         raise ValueError("p must be >= 1")
-    st = a.n_levels**t
+    table = _count_table(a, t)
+    st, n = a.n_levels**t, a.n_runs
     if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
         p = int(p)
-        total = 0
-        for cols in _column_tuples(a.n_factors, t):
-            counts = _tuple_counts(a, cols)
-            dev = np.abs(counts * st - a.n_runs)
-            total += int((dev.astype(object) ** p).sum())
+        counts, weights = np.unique(table, return_counts=True)
+        devs = np.abs(counts * st - n).tolist()
+        total = sum(w * d**p for d, w in zip(devs, weights.tolist()))
         return _as_exact(total, st**p)
-    lam = a.n_runs / st
-    total_f = 0.0
-    for cols in _column_tuples(a.n_factors, t):
-        counts = _tuple_counts(a, cols)
-        total_f += float(np.sum(np.abs(counts - lam) ** p))
+    total_f = 0.0  # summed row by row, in table order: the float result depends on it
+    for row_sum in (np.abs(table - n / st) ** p).sum(axis=1).tolist():
+        total_f += row_sum
     return total_f
 
 
@@ -245,14 +273,8 @@ def bandwidth(a: Array, t: int) -> Exact:
 
     Sandwiched between the tolerance and twice the tolerance.
     """
-    _check_strength(a, t)
-    lo, hi = None, None
-    for cols in _column_tuples(a.n_factors, t):
-        counts = _tuple_counts(a, cols)
-        cmin, cmax = int(counts.min()), int(counts.max())
-        lo = cmin if lo is None else min(lo, cmin)
-        hi = cmax if hi is None else max(hi, cmax)
-    return hi - lo
+    table = _count_table(a, t)
+    return int(table.max()) - int(table.min())
 
 
 def rao_max_factors(n_runs: int, n_levels: int) -> int:

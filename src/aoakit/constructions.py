@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Array, is_oa, tolerance, unbalance
+from .arrays import Array, _balanced_pairs, is_oa, tolerance, unbalance
 from .galois import Field, make_field
 
 __all__ = [
@@ -320,22 +320,17 @@ def verify_construction(a: Array, spec: ConstructionSpec, ps=(1, 2, 3)) -> Const
     k = spec.n_factors
     block = (spec.s**spec.ell - 1) // (spec.s - 1)
 
-    def sub_oa(cols) -> bool:
-        cols = list(cols)
-        if len(cols) < 2:
-            return True
-        return is_oa(a.select_columns(cols), 2)
-
+    pairs = _balanced_pairs(a)
     if spec.variant == "half":
-        leading = sub_oa(range(block))
-        trailing = [(tuple(range(block, k)), sub_oa(range(block, k)))]
+        leading = bool(pairs[:block, :block].all())
+        trailing = [(tuple(range(block, k)), bool(pairs[block:, block:].all()))]
     else:
-        leading = sub_oa(range(2 * block - 1))
+        leading = bool(pairs[: 2 * block - 1, : 2 * block - 1].all())
         trailing = []
         tail = list(range(k - spec.kappa, k))
         for removed in itertools.combinations(tail, spec.kappa - 1):
             kept = [c for c in range(1, k) if c not in removed]
-            trailing.append((removed, sub_oa(kept)))
+            trailing.append((removed, bool(pairs[np.ix_(kept, kept)].all())))
 
     unb_expected = {p: spec.unb_formula(p) for p in ps}
     unb_measured = {p: unbalance(a, 2, p) for p in ps}

@@ -87,16 +87,15 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
         raise ParseError("N, k, s must be positive", 1, 1, path)
     if len(lines) < 1 + n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", len(lines), 1, path)
-    cells = np.zeros((n, k), dtype=np.int64)
-    for r in range(n):
-        lineno = 2 + r
+    rows = []
+    for lineno in range(2, 2 + n):
         fields = _int_fields(lines[lineno - 1], lineno, path)
         if len(fields) != k:
             raise ParseError(f"expected {k} values, found {len(fields)}", lineno, 1, path)
-        for c, (value, col) in enumerate(fields):
+        for value, col in fields:
             if not 1 <= value <= s:
                 raise ParseError(f"value {value} outside 1..{s}", lineno, col, path)
-            cells[r, c] = value
+        rows.append([value for value, _ in fields])
     metadata: dict[str, str] = {}
     for offset, line in enumerate(lines[1 + n :], start=2 + n):
         if not line.strip():
@@ -108,7 +107,7 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
             raise ParseError("metadata line lacks 'key: value'", offset, 1, path)
         key, value = body.split(":", 1)
         metadata[key.strip()] = value.strip()
-    return Array(cells, s), metadata
+    return Array(np.array(rows, dtype=np.int64), s), metadata
 
 
 def serialize_array(a: Array, metadata: dict[str, str] | None = None) -> str:
@@ -119,8 +118,20 @@ def serialize_array(a: Array, metadata: dict[str, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_ascii(path) -> str:
+    """File text; a non-ASCII byte is a ParseError at its line and column."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        message = f"non-ASCII byte 0x{data[exc.start]:02x}"
+        raise ParseError(message, line, column, str(path)) from None
+
+
 def read_array(path) -> tuple[Array, dict[str, str]]:
-    return parse_array(Path(path).read_text(encoding="ascii"), path=str(path))
+    return parse_array(_read_ascii(path), path=str(path))
 
 
 def write_array(path, a: Array, metadata: dict[str, str] | None = None) -> None:
@@ -182,7 +193,7 @@ def serialize_encoding(e: SymmetricEncoding) -> str:
 
 
 def read_encoding(path) -> SymmetricEncoding:
-    return parse_encoding(Path(path).read_text(encoding="ascii"), path=str(path))
+    return parse_encoding(_read_ascii(path), path=str(path))
 
 
 def write_encoding(path, e: SymmetricEncoding) -> None:

@@ -34,6 +34,7 @@ user-supplied command and reads a plain ``name value`` solution file.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import shlex
 import subprocess
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import Array, tolerance, unbalance
+from .arrays import Array, _count_table, _pair_rows, tolerance, unbalance
 
 __all__ = [
     "IpInstance",
@@ -437,25 +438,20 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
 def _delta_values(inst: IpInstance, a: Array) -> dict[str, int]:
     """All deviation values of a canonical-head array."""
     s, k, lam = inst.s, inst.k, inst.lam
-    n = inst.n_runs
-    cells = a.cells
+    table = _count_table(a, 2).tolist()
+    rows = _pair_rows(k).tolist()
     out: dict[str, int] = {}
     for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
-        counts = np.zeros(s * s, dtype=np.int64)
-        codes = (cells[:, j1 - 1] - 1) * s + cells[:, j2 - 1] - 1
-        np.add.at(counts, codes, 1)
-        for l in range(1, s * s + 1):
-            out[f"d0_{c}_{l}"] = int(counts[l - 1]) - lam
+        for l, count in enumerate(table[rows[j1 - 1][j2 - 1]], start=1):
+            out[f"d0_{c}_{l}"] = count - lam
     for m in range(1, s + 1):
-        out[f"d1_{m}"] = int(np.sum(cells[:, k - 1] == m)) - lam * s
+        out[f"d1_{m}"] = int(np.sum(a.cells[:, k - 1] == m)) - lam * s
     for m in range(1, s + 1):
         for mp in range(1, s + 1):
+            code = (mp - 1) * s + m - 1  # pinned column level mp, free column level m
             for j in inst.free_columns:
-                col = cells[:, j - 1]
-                mask2 = cells[:, 0] == mp
-                out[f"d2_{m}_{mp}_{j}"] = int(np.sum((col == m) & mask2)) - lam
-                mask3 = cells[:, 1] == mp
-                out[f"d3_{m}_{mp}_{j}"] = int(np.sum((col == m) & mask3)) - lam
+                out[f"d2_{m}_{mp}_{j}"] = table[rows[0][j - 1]][code] - lam
+                out[f"d3_{m}_{mp}_{j}"] = table[rows[1][j - 1]][code] - lam
     return out
 
 
@@ -630,6 +626,11 @@ def _balanced_columns(n: int, s: int, lam: int):
     yield from rec([])
 
 
+def _balanced_column_count(n: int, s: int, lam: int) -> int:
+    """Number of vectors ``_balanced_columns`` yields: the multinomial n!/((lam*s)!)^s."""
+    return math.factorial(n) // math.factorial(lam * s) ** s
+
+
 @dataclass
 class ExhaustiveResult:
     value: int
@@ -648,11 +649,10 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
     if inst.symmetry is not None:
         raise ValueError("exhaustive enumeration does not support symmetry constraints")
     s, k, lam, n = inst.s, inst.k, inst.lam, inst.n_runs
-    balanced = list(_balanced_columns(n, s, lam))
-    n_free = k - 2
-    states = len(balanced) ** (n_free - 1) * s**n
+    states = _balanced_column_count(n, s, lam) ** (k - 3) * s**n
     if states > max_states:
         raise ValueError(f"feasible set has {states} states (> {max_states})")
+    balanced = list(_balanced_columns(n, s, lam))
     head = canonical_head(s, lam)
     last_options = list(itertools.product(range(1, s + 1), repeat=n))
 
@@ -660,7 +660,7 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
     witnesses: list[Array] = []
     feasible = 0
     lo = inst.delta_lower
-    for mids in itertools.product(balanced, repeat=n_free - 1):
+    for mids in itertools.product(balanced, repeat=k - 3):
         for last in last_options:
             cells = np.column_stack(
                 [head] + [np.array(col, dtype=np.int64) for col in mids + (last,)]

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrays import Array, Exact, _as_exact, _column_tuples, _tuple_counts, is_oa, tolerance, unbalance
+from .arrays import Array, Exact, _as_exact, _balanced_pairs, _count_table
+from .arrays import is_oa, tolerance, unbalance
 
 __all__ = [
     "LevelContrast",
@@ -134,21 +135,18 @@ def d_phi_theta(a: Array, alpha, beta) -> float | Exact:
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be >= 1")
-    s2 = a.n_levels**2
-    exact = float(alpha).is_integer() and float(beta).is_integer()
-    if exact:
+    s2, n = a.n_levels**2, a.n_runs
+    table = _count_table(a, 2)
+    if float(alpha).is_integer() and float(beta).is_integer():
         alpha_i, beta_i = int(alpha), int(beta)
-        total = Fraction(0)
-        for cols in _column_tuples(a.n_factors, 2):
-            counts = _tuple_counts(a, cols)
-            inner = int((np.abs(counts * s2 - a.n_runs).astype(object) ** alpha_i).sum())
-            total += Fraction(inner, s2**alpha_i) ** beta_i
-        return _as_exact(total.numerator, total.denominator)
-    lam = a.n_runs / s2
+        counts, inverse = np.unique(table, return_inverse=True)
+        powers = np.array([abs(c * s2 - n) ** alpha_i for c in counts.tolist()], dtype=object)
+        inner = powers[inverse.reshape(table.shape)].sum(axis=1)
+        total = sum(int(v) ** beta_i for v in inner)
+        return _as_exact(total, s2 ** (alpha_i * beta_i))
     total_f = 0.0
-    for cols in _column_tuples(a.n_factors, 2):
-        counts = _tuple_counts(a, cols)
-        total_f += float(np.sum(np.abs(counts - lam) ** alpha)) ** beta
+    for inner_f in (np.abs(table - n / s2) ** alpha).sum(axis=1).tolist():
+        total_f += inner_f**beta
     return total_f
 
 
@@ -203,13 +201,6 @@ class DCriterionReport:
         return all(checks)
 
 
-def _strength2_after_removal(a: Array, removed: set[int]) -> bool:
-    kept = [c for c in range(a.n_factors) if c not in removed]
-    if len(kept) < 2:
-        return True
-    return is_oa(a.select_columns(kept), 2)
-
-
 def check_dcriterion_bounds(a: Array, f: LevelContrast, removable=None) -> DCriterionReport:
     """Check the Gram-deviation inequalities against tolerance/unbalance.
 
@@ -250,21 +241,18 @@ def check_dcriterion_bounds(a: Array, f: LevelContrast, removable=None) -> DCrit
 
     # Structural hypotheses for the determinant bound.
     last = k - 1
-    if not _strength2_after_removal(a, {last}):
+    pairs = _balanced_pairs(a)
+    if not pairs[:last, :last].all():
         return report
     if removable is None:
-        deviating = set()
-        s2 = s * s
-        for cols in _column_tuples(k, 2):
-            counts = _tuple_counts(a, cols)
-            if np.any(counts * s2 != n):
-                deviating.update(cols)
+        deviating = set(np.flatnonzero(~pairs.all(axis=1)).tolist())
         deviating.discard(last)
         removable = sorted(deviating)
     removed = {int(c) for c in removable}
     if last in removed or not removed:
         return report
-    if not _strength2_after_removal(a, removed):
+    kept = [c for c in range(k) if c not in removed]
+    if not pairs[np.ix_(kept, kept)].all():
         return report
     r = len(removed)
     condition = math.sqrt(r) * ratio2 * float(tol2) / float(lam)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import Array, Exact, tolerance, unbalance
+from .arrays import Array, Exact, _count_table, _pair_rows, tolerance, unbalance
+from .symmetry import _default_bicyclic_r
 
 __all__ = [
     "ObjectiveVector",
@@ -137,7 +138,7 @@ class _Encoder:
             if n_runs % s:
                 raise ValueError("bicyclic encoding requires s | N")
             if r is None:
-                r = max(d for d in range(1, s + 1) if s % d == 0 and d <= k)
+                r = _default_bicyclic_r(s, k)
             if s % r or not 1 <= r <= k:
                 raise ValueError("bicyclic r must divide s and satisfy 1 <= r <= k")
             self.r = r
@@ -189,75 +190,49 @@ class _PairTables:
 
     def __init__(self, array: Array, p: int):
         self.s, self.p = array.n_levels, p
-        n, k = array.n_runs, array.n_factors
-        self.lam = n // (self.s * self.s)
-        self.cells = array.cells
-        self.counts = {}
-        for c1, c2 in itertools.combinations(range(k), 2):
-            code = (array.cells[:, c1] - 1) * self.s + (array.cells[:, c2] - 1)
-            self.counts[c1, c2] = np.bincount(code, minlength=self.s * self.s)
-        self.pair_unb = {
-            pair: int(np.sum(np.abs(cnt - self.lam) ** p))
-            for pair, cnt in self.counts.items()
-        }
-        self.pair_max = {
-            pair: int(np.max(np.abs(cnt - self.lam))) for pair, cnt in self.counts.items()
-        }
+        self.lam = lam = array.n_runs // (self.s * self.s)
+        self.levels = (array.cells - 1).tolist()
+        table = _count_table(array, 2)
+        dev = np.abs(table - lam)
+        pair_max = dev.max(axis=1)
+        self.counts = table.tolist()
+        self.unb = int((dev**p).sum())
+        self.tol = int(pair_max.max())
+        # per column j: (other column, table row) of every pair holding j, and
+        # the largest deviation among the pairs that a change in j leaves alone
+        k = array.n_factors
+        rows = _pair_rows(k).tolist()
+        self.partners = [[(c, rows[j][c]) for c in range(k) if c != j] for j in range(k)]
+        first, second = np.triu_indices(k, 1)
+        held = (np.arange(k)[:, None] == first) | (np.arange(k)[:, None] == second)
+        self.max_without = np.where(held, 0, pair_max).max(axis=1, initial=0).tolist()
 
     def objective(self) -> ObjectiveVector:
-        return ObjectiveVector(
-            sum(self.pair_unb.values()), max(self.pair_max.values())
-        )
+        return ObjectiveVector(self.unb, self.tol)
 
     def change(self, i: int, j: int, value: int) -> ObjectiveVector:
         """Objectives after setting cell (i, j) to value, without mutating."""
         s, lam, p = self.s, self.lam, self.p
-        old = self.cells[i, j]
-        unb_total = sum(self.pair_unb.values())
-        maxes = []
-        touched = set()
-        for c in range(self.cells.shape[1]):
-            if c == j:
-                continue
-            pair = (c, j) if c < j else (j, c)
-            touched.add(pair)
-            if pair[0] == j:
-                code_old = (old - 1) * s + (self.cells[i, c] - 1)
-                code_new = (value - 1) * s + (self.cells[i, c] - 1)
+        row = self.levels[i]
+        old, new = row[j], value - 1
+        unb, tol = self.unb, self.max_without[j]
+        for c, r in self.partners[j]:
+            if c > j:
+                code_old, code_new = old * s + row[c], new * s + row[c]
             else:
-                code_old = (self.cells[i, c] - 1) * s + (old - 1)
-                code_new = (self.cells[i, c] - 1) * s + (value - 1)
-            cnt = self.counts[pair]
-            a_old, a_new = int(cnt[code_old]), int(cnt[code_new])
-            delta = (
+                code_old, code_new = row[c] * s + old, row[c] * s + new
+            cnt = self.counts[r]
+            a_old, a_new = cnt[code_old], cnt[code_new]
+            unb += (
                 abs(a_old - 1 - lam) ** p
                 - abs(a_old - lam) ** p
                 + abs(a_new + 1 - lam) ** p
                 - abs(a_new - lam) ** p
             )
-            unb_total += delta
-            m = max(abs(a_old - 1 - lam), abs(a_new + 1 - lam))
-            prev = self.pair_max[pair]
-            if prev > m and (
-                abs(a_old - lam) == prev or abs(a_new - lam) == prev
-            ):
-                # the former argmax may have moved; recount this pair
-                dev = np.abs(cnt - lam)
-                dev_list = dev.copy()
-                dev_list[code_old] = abs(a_old - 1 - lam)
-                dev_list[code_new] = abs(a_new + 1 - lam)
-                m = int(dev_list.max())
-            else:
-                m = max(m, prev)
-            maxes.append(m)
-        tol = max(
-            max(maxes, default=0),
-            max(
-                (v for pair, v in self.pair_max.items() if pair not in touched),
-                default=0,
-            ),
-        )
-        return ObjectiveVector(unb_total, tol)
+            dev = [abs(x - lam) for x in cnt]
+            dev[code_old], dev[code_new] = abs(a_old - 1 - lam), abs(a_new + 1 - lam)
+            tol = max(tol, max(dev))
+        return ObjectiveVector(unb, tol)
 
 
 def _evaluate(enc: _Encoder, cells: np.ndarray, p: int) -> FrontMember:

@@ -160,10 +160,15 @@ def format_generator(g: GroupElement) -> str:
     return f"{format_permutation(g.level_perm)}|{format_permutation(g.col_perm)}"
 
 
+def _default_bicyclic_r(s: int, k: int) -> int:
+    """Largest divisor r of s with r <= k: the default bicyclic column cycle."""
+    return max(d for d in range(1, s + 1) if s % d == 0 and d <= k)
+
+
 def bicyclic_generator(s: int, k: int, r: int | None = None) -> GroupElement:
     """((1..s) | (1..r)) with r | s and r <= k; r defaults to the largest such divisor."""
     if r is None:
-        r = max(d for d in range(1, s + 1) if s % d == 0 and d <= k)
+        r = _default_bicyclic_r(s, k)
     if s % r or r > k or r < 1:
         raise ValueError("r must divide s and satisfy 1 <= r <= k")
     lp = cycle_permutation(s, tuple(range(1, s + 1)))
@@ -319,7 +324,7 @@ def compress(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding
     s, k = a.n_levels, a.n_factors
     if kind == "bicyclic":
         if param is None:
-            param = max(d for d in range(1, s + 1) if s % d == 0 and d <= k)
+            param = _default_bicyclic_r(s, k)
         g = bicyclic_generator(s, k, param)
     elif kind == "semicyclic":
         if param is None:

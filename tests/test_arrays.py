@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aoakit.arrays as arrays_mod
 from aoakit.arrays import (
     Array,
     bandwidth,
@@ -117,6 +119,62 @@ class TestCounting:
             count_tuple(oa_4_3_2, (3,), (1,))
         with pytest.raises(ValueError):
             count_tuple(oa_4_3_2, (1, 1), (2, 1))
+
+
+class TestCountTable:
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(), st.integers(1, 3))
+    def test_entries_match_slow_count(self, a, t):
+        t = min(t, a.n_factors)
+        table = arrays_mod._count_table(a, t)
+        tuples = list(itertools.combinations(range(a.n_factors), t))
+        levels = list(itertools.product(range(1, a.n_levels + 1), repeat=t))
+        assert table.shape == (len(tuples), len(levels))
+        for r, cols in enumerate(tuples):
+            for code, x in enumerate(levels):
+                assert table[r, code] == count_tuple_slow(a, x, cols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(), st.integers(1, 3))
+    def test_table_metrics_match_slow_counts(self, a, t):
+        t = min(t, a.n_factors)
+        counts = [
+            count_tuple_slow(a, x, cols)
+            for cols in itertools.combinations(range(a.n_factors), t)
+            for x in itertools.product(range(1, a.n_levels + 1), repeat=t)
+        ]
+        target = Fraction(a.n_runs, a.n_levels**t)
+        assert bandwidth(a, t) == max(counts) - min(counts)
+        assert is_oa(a, t) == all(c == target for c in counts)
+        loose = sum(float(abs(c - target)) ** 1.5 for c in counts)
+        assert unbalance(a, t, 1.5) == pytest.approx(loose, rel=1e-12)
+
+    def test_chunking_does_not_change_the_table(self, rng, monkeypatch):
+        a = draw_array(rng, n_runs=20, n_factors=7, n_levels=3)
+        whole = arrays_mod._count_table(a, 3)
+        monkeypatch.setattr(arrays_mod, "_CHUNK_BYTES", 1)
+        assert np.array_equal(arrays_mod._count_table(a, 3), whole)
+
+    def test_strength_three_temporaries_are_bounded(self, rng):
+        a = draw_array(rng, n_runs=60, n_factors=80, n_levels=2)
+        table_bytes = comb(80, 3) * 2**3 * 8
+        tracemalloc.start()
+        try:
+            tolerance(a, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two transposed copies of the cells are the only other allocations
+        assert peak <= arrays_mod._CHUNK_BYTES + table_bytes + 2 * a.cells.nbytes
+
+    def test_balanced_pairs_answer_sub_array_strength_two(self, rng):
+        b = cyclic_oa(3)
+        a = Array(np.hstack([b.cells, b.cells[:, :1], b.cells[:, 1:]]), 3)
+        pairs = arrays_mod._balanced_pairs(a)
+        for size in (2, 3, 4):
+            for cols in itertools.combinations(range(a.n_factors), size):
+                want = is_oa(a.select_columns(cols), 2)
+                assert bool(pairs[np.ix_(cols, cols)].all()) == want
 
 
 class TestToleranceUnbalance:

@@ -97,6 +97,20 @@ class TestEval:
         assert code == 2
         assert ":3:3:" in err and "outside 1..2" in err
 
+    def test_oversized_header_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("1 10000000000000 2\n1\n")
+        code, _, err = run(capsys, "eval", bad)
+        assert code == 2
+        assert f"{bad}:2:1: expected 10000000000000 values, found 1" in err
+
+    def test_non_ascii_file_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "accent.txt"
+        bad.write_bytes("2 2 2\n1 2\n2 \u00e9\n".encode("utf-8"))
+        code, _, err = run(capsys, "eval", bad)
+        assert code == 2
+        assert f"{bad}:3:3: non-ASCII byte 0xc3" in err
+
     def test_missing_file_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "eval", tmp_path / "absent.txt")
         assert code == 2

@@ -111,6 +111,19 @@ class TestArrayFormat:
         assert str(exc.value) == f"{p}:2:3: value 9 outside 1..2"
         assert exc.value.path == str(p)
 
+    def test_non_ascii_byte_is_located(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes("2 2 2\n1 2\n2 \u00e9\n".encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            read_array(p)
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        assert "non-ASCII" in exc.value.message
+
+    def test_oversized_header_fails_before_allocation(self):
+        with pytest.raises(ParseError) as exc:
+            parse_array("1 10000000000000 2\n1\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+
     def test_error_string_defaults_to_text_marker(self):
         with pytest.raises(ParseError, match=r"<text>:1:1"):
             parse_array("")
@@ -182,6 +195,14 @@ class TestEncodingFormat:
             parse_encoding(text)
         assert exc.value.line == line
         assert fragment in exc.value.message
+
+    def test_non_ascii_encoding_is_located(self, tmp_path):
+        text = serialize_encoding(compress(Array(np.array(BICYCLIC_FULL), 3), "bicyclic", 3))
+        p = tmp_path / "e.enc"
+        p.write_bytes(text.encode("ascii").replace(b"(1,2,3)|", "(1,2,3)\u00a7|".encode("utf-8"), 1))
+        with pytest.raises(ParseError) as exc:
+            read_encoding(p)
+        assert (exc.value.line, exc.value.column) == (2, 8)
 
     def test_invalid_encoding_surfaces_as_parse_error(self):
         # Structural rules (here: a bicyclic encoding admits no fixed rows)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aoakit.ipmodel as ipmodel_mod
 from aoakit.arrays import Array, cyclic_oa, is_oa, tolerance, unbalance
 from aoakit.ipmodel import (
     IpInstance,
@@ -189,6 +190,18 @@ class TestExhaustive:
         inst = IpInstance(s=3, k=6)
         with pytest.raises(ValueError):
             exhaustive_optimum(inst, max_states=10)
+
+    @pytest.mark.parametrize("s, lam", [(2, 1), (2, 2), (2, 3), (3, 1)])
+    def test_balanced_column_count_closed_form(self, s, lam):
+        n = lam * s * s
+        listed = len(list(ipmodel_mod._balanced_columns(n, s, lam)))
+        assert ipmodel_mod._balanced_column_count(n, s, lam) == listed
+
+    def test_state_guard_runs_before_enumeration(self):
+        # s = 4, lam = 1 has 63 063 000 balanced columns; the guard must
+        # reject the instance from the closed-form count alone
+        with pytest.raises(ValueError, match="states"):
+            exhaustive_optimum(IpInstance(s=4, k=4))
 
 
 class TestVerifySolution:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, isclose
 
@@ -20,6 +21,7 @@ from aoakit.metrics import (
 )
 
 from conftest import random_array
+from oracles import count_tuple_slow, unbalance_slow
 
 
 def strength1_oa(rng, n, k, s) -> Array:
@@ -130,6 +132,32 @@ class TestPairCriteria:
                 per_pair.append(unbalance(sub, 2, 1))
         expected = sum(Fraction(v) ** 2 for v in per_pair)
         assert d_phi_theta(a, 1, 2) == expected
+
+    def test_exponents_match_slow_pair_sums(self, rng):
+        for _ in range(30):
+            a = random_array(rng, n_factors=int(rng.integers(2, 6)))
+            s2 = a.n_levels**2
+            per_pair = [
+                unbalance_slow(a.select_columns(cols), 2, alpha)
+                for alpha in (1, 2, 3)
+                for cols in itertools.combinations(range(a.n_factors), 2)
+            ]
+            n_pairs = comb(a.n_factors, 2)
+            for i, alpha in enumerate((1, 2, 3)):
+                sums = per_pair[i * n_pairs : (i + 1) * n_pairs]
+                for beta in (1, 2, 3):
+                    assert d_phi_theta(a, alpha, beta) == sum(v**beta for v in sums)
+                loose = d_phi_theta(a, alpha + 0.5, 1.5)
+                target = Fraction(a.n_runs, s2)
+                want = sum(
+                    sum(
+                        float(abs(count_tuple_slow(a, x, cols) - target)) ** (alpha + 0.5)
+                        for x in itertools.product(range(1, a.n_levels + 1), repeat=2)
+                    )
+                    ** 1.5
+                    for cols in itertools.combinations(range(a.n_factors), 2)
+                )
+                assert loose == pytest.approx(want, rel=1e-12)
 
     def test_float_exponent_path(self, rng):
         a = random_array(rng, n_runs=8, n_factors=3, n_levels=2)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,22 +120,19 @@ class TestDeltaEvaluation:
     def test_change_matches_full_recount(self, rng):
         from conftest import random_array
 
-        for _ in range(25):
+        for p, k, _ in itertools.product((1, 2), range(2, 7), range(6)):
             s = int(rng.integers(2, 5))
-            a = random_array(rng, n_runs=s * s, n_factors=4, n_levels=s)
-            p = int(rng.integers(1, 3))
+            a = random_array(rng, n_runs=s * s, n_factors=k, n_levels=s)
             tables = search._PairTables(a, p)
-            i = int(rng.integers(0, a.n_runs))
-            j = int(rng.integers(0, a.n_factors))
-            value = int(rng.integers(1, s + 1))
-            if value == int(a.cells[i, j]):
-                continue
-            got = tables.change(i, j, value)
-            mutated = a.cells.copy()
-            mutated[i, j] = value
-            b = Array(mutated, s)
-            assert got.unbalance == unbalance(b, 2, p)
-            assert got.tolerance == tolerance(b, 2)
+            assert tables.objective() == ObjectiveVector(unbalance(a, 2, p), tolerance(a, 2))
+            for j in range(k):
+                i = int(rng.integers(0, a.n_runs))
+                value = int(a.cells[i, j]) % s + 1
+                got = tables.change(i, j, value)
+                mutated = a.cells.copy()
+                mutated[i, j] = value
+                b = Array(mutated, s)
+                assert got == ObjectiveVector(unbalance(b, 2, p), tolerance(b, 2))
 
     def test_search_with_cross_check_enabled(self, monkeypatch):
         monkeypatch.setattr(search, "CROSS_CHECK_DELTA", True)

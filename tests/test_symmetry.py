@@ -353,3 +353,17 @@ class TestRandomRoundtrips:
             assert is_automorphism(gen, full)
             back = compress(full, kind, param)
             assert equivalent(expand(back), full)
+
+
+class TestDefaultBicyclicR:
+    @pytest.mark.parametrize("s, k, r", [(3, 5, 3), (4, 3, 2), (6, 4, 3), (9, 5, 3), (5, 2, 1)])
+    def test_every_site_uses_the_largest_divisor(self, s, k, r):
+        from aoakit.search import _Encoder
+        from aoakit.symmetry import _default_bicyclic_r
+
+        assert _default_bicyclic_r(s, k) == r
+        assert bicyclic_generator(s, k) == bicyclic_generator(s, k, r)
+        enc = _Encoder("bicyclic", s * s, k, s, None)
+        assert enc.r == r
+        a = enc.to_array(enc.random_cells(np.random.default_rng(s * k)))
+        assert compress(a, "bicyclic").param == r
