@@ -12,6 +12,8 @@ import argparse
 import json
 import logging
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import constructions, fileio, ipmodel, search
@@ -21,6 +23,8 @@ from .fileio import ParseError, format_exact
 from .metrics import d1, d2, d_value, default_contrast
 
 __all__ = ["main"]
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,30 +49,44 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+@contextmanager
+def _timed(group: str):
+    """Log the wall time of one metric group (stderr, with --verbose)."""
+    start = time.perf_counter()
+    yield
+    logger.info("eval %s: %.3f s", group, time.perf_counter() - start)
+
+
 def _cmd_eval(args) -> int:
     a, _ = fileio.read_array(args.path)
-    print(f"N = {a.n_runs}")
-    print(f"k = {a.n_factors}")
-    print(f"s = {a.n_levels}")
     ts = args.t or [2]
     ps = args.p or [1, 2]
     for t in ts:
         if not 1 <= t <= a.n_factors:
             raise _UsageError(f"t={t} out of range 1..{a.n_factors}")
-    for t in ts:
-        print(f"is_oa_t{t} = {_bool(is_oa(a, t))}")
-        print(f"tol_t{t} = {format_exact(tolerance(a, t))}")
-        for p in ps:
-            print(f"unb_p{p}_t{t} = {format_exact(unbalance(a, t, p))}")
+    for p in ps:
+        if p < 1:
+            raise _UsageError(f"p={p} must be >= 1")
+    print(f"N = {a.n_runs}")
+    print(f"k = {a.n_factors}")
+    print(f"s = {a.n_levels}")
+    with _timed("tables"):
+        for t in ts:
+            print(f"is_oa_t{t} = {_bool(is_oa(a, t))}")
+            print(f"tol_t{t} = {format_exact(tolerance(a, t))}")
+            for p in ps:
+                print(f"unb_p{p}_t{t} = {format_exact(unbalance(a, t, p))}")
     if args.d_criteria:
-        f = default_contrast(a.n_levels)
-        print(f"d1 = {format_exact(d1(a))}")
-        print(f"d2 = {format_exact(d2(a))}")
-        print(f"d_f = {format_exact(d_value(a, f))}")
+        with _timed("d-criteria"):
+            f = default_contrast(a.n_levels)
+            print(f"d1 = {format_exact(d1(a))}")
+            print(f"d2 = {format_exact(d2(a))}")
+            print(f"d_f = {format_exact(d_value(a, f))}")
     if args.discrepancies:
-        print(f"cd = {format_exact(cd(a))}")
-        print(f"wd = {format_exact(wd(a))}")
-        print(f"md = {format_exact(md(a))}")
+        with _timed("discrepancies"):
+            print(f"cd = {format_exact(cd(a))}")
+            print(f"wd = {format_exact(wd(a))}")
+            print(f"md = {format_exact(md(a))}")
     return EXIT_OK
 
 

@@ -7,13 +7,22 @@ with the per-coordinate integrals
 
     i1(x) = int_0^1 K(x, y) dy        i2 = int_0^1 int_0^1 K(x, y) dx dy
 
-derived analytically.  The discrete discrepancy DD (a two-valued kernel on
-level space, parameters a > b > 0) is computed in two provably equal ways —
-from Hamming similarity counts and from the strength-t unbalances — and is
-exact rational whenever the parameters are.  ``check_discrepancy_bounds``
-evaluates the inequalities that sandwich each classical discrepancy by a DD
-with coupled parameters; they are equalities for CD at s = 2, WD at s <= 3
-and MD at s = 2 because the kernels are then two-valued on the point lattice.
+derived analytically.  The pair term sum_{i,i'} prod_j K(x_ij, x_i'j) is a
+fold over the columns: each column's factor is gathered from a kernel table
+over that column's distinct values (s x s for an array's points) and
+multiplied into one N x N accumulator, so memory is O(N^2), not O(N^2 k).
+The fold keeps every multiplication and the final sum in the order of the
+direct N x N x k product on purpose: catalogs store the float values as
+``repr`` strings and ``catalog recheck`` compares them exactly, so a
+reordered sum would make existing catalogs fail.
+
+The discrete discrepancy DD (a two-valued kernel on level space, parameters
+a > b > 0) is computed in two provably equal ways — from Hamming similarity
+counts and from the strength-t unbalances — and is exact rational whenever
+the parameters are.  ``check_discrepancy_bounds`` evaluates the
+inequalities that sandwich each classical discrepancy by a DD with coupled
+parameters; they are equalities for CD at s = 2, WD at s <= 3 and MD at
+s = 2 because the kernels are then two-valued on the point lattice.
 """
 
 from __future__ import annotations
@@ -142,7 +151,18 @@ def discrepancy_sq(ps: PointSet, kernel: ProductKernel) -> float:
     pts = ps.points
     n, k = pts.shape
     cross = float(np.prod(kernel.i1(pts), axis=1).sum())
-    pair = float(np.prod(kernel.k1(pts[:, None, :], pts[None, :, :]), axis=2).sum())
+    # Left to right over the columns, the same sequential product np.prod
+    # takes along the last axis of the N x N x k kernel tensor: bit-identical.
+    # The inverse indices are always in range, so mode="clip" never clips; it
+    # spares the N x N buffer that take's default mode puts behind ``out``.
+    prod = np.ones((n, n))
+    factor = np.empty((n, n))
+    for x in pts.T:
+        vals, inv = np.unique(x, return_inverse=True)
+        table = kernel.k1(vals[:, None], vals[None, :])
+        np.take(table[inv], inv, axis=1, out=factor, mode="clip")
+        prod *= factor
+    pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 
 

@@ -2,13 +2,17 @@
 
 Everything here is written in plain Python (loops, Fractions, itertools) with
 no reuse of the library's own vectorised code paths, so that agreement between
-the two is meaningful evidence of correctness.
+the two is meaningful evidence of correctness.  The exception is
+``discrepancy_sq_broadcast``, the library's earlier numpy formula, kept as a
+bit-for-bit reference for the float arithmetic order.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from aoakit.arrays import Array
 
@@ -84,6 +88,19 @@ def discrepancy_sq_slow(points, kernel) -> float:
                 prod *= kernel.k1(u, v)
             sq += prod / (n * n)
     return sq
+
+
+def discrepancy_sq_broadcast(ps, kernel) -> float:
+    """Squared discrepancy through the full N x N x k kernel tensor.
+
+    The library's earlier formula, kept verbatim: its float result is the
+    exact-equality reference for the column fold in ``discrepancy_sq``.
+    """
+    pts = ps.points
+    n, k = pts.shape
+    cross = float(np.prod(kernel.i1(pts), axis=1).sum())
+    pair = float(np.prod(kernel.k1(pts[:, None, :], pts[None, :, :]), axis=2).sum())
+    return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 
 
 def dd_sq_slow(a: Array, pa, pb):

@@ -230,11 +230,24 @@ class TestToleranceUnbalance:
 
 class TestHammingIdentity:
     def test_hamming_matrix_matches_slow(self, rng):
-        for _ in range(20):
-            a = draw_array(rng)
-            assert np.array_equal(
-                hamming_similarity(a), np.array(hamming_slow(a))
-            )
+        for n_runs, n_factors in [(1, 1), (1, 4), (6, 1)] + [(None, None)] * 20:
+            a = draw_array(rng, n_runs=n_runs, n_factors=n_factors)
+            h = hamming_similarity(a)
+            assert h.dtype == np.int64
+            assert np.array_equal(h, np.array(hamming_slow(a)))
+
+    def test_hamming_temporaries_are_quadratic_in_runs_only(self, rng):
+        a = draw_array(rng, n_runs=200, n_factors=150, n_levels=3)
+        tracemalloc.start()
+        try:
+            hamming_similarity(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the int64 result, one boolean column comparison, a transposed copy
+        # of the cells and numpy's casting buffers; no N x N x k temporary
+        n = a.n_runs
+        assert peak <= 2 * n * n * 8 + a.cells.nbytes
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(max_factors=6), st.integers(1, 3))

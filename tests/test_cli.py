@@ -5,10 +5,15 @@ error, 3 verification failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoakit
 from aoakit.arrays import Array, is_oa
 from aoakit.cli import main
 from aoakit.fileio import read_array, write_array
@@ -86,9 +91,37 @@ class TestEval:
         assert "unb_p1_t3" in got and "unb_p2_t1" not in got
 
     def test_out_of_range_strength_is_usage(self, capsys, oa_file):
-        code, _, err = run(capsys, "eval", oa_file, "--t", 9)
+        code, out, err = run(capsys, "eval", oa_file, "--t", 9)
         assert code == 1
+        assert out == ""
         assert "out of range" in err
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_non_positive_exponent_is_usage_without_output(self, capsys, oa_file, p):
+        code, out, err = run(capsys, "eval", oa_file, "--p", 1, "--p", p)
+        assert code == 1
+        assert out == ""
+        assert f"p={p} must be >= 1" in err
+
+    def test_verbose_times_each_metric_group_on_stderr_only(self, t0_file):
+        # A child process, because logging.basicConfig leaves the test
+        # runner's own root handlers alone.
+        paths = [str(Path(aoakit.__file__).resolve().parents[1])]
+        paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = ["eval", str(t0_file), "--d-criteria", "--discrepancies"]
+
+        def aoakit_run(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "aoakit", *flags, *argv],
+                capture_output=True, env=env, timeout=60, check=True,
+            )
+
+        quiet, verbose = aoakit_run(), aoakit_run("--verbose")
+        assert quiet.stdout and verbose.stdout == quiet.stdout
+        assert quiet.stderr == b""
+        for group in ("tables", "d-criteria", "discrepancies"):
+            assert f"eval {group}: ".encode() in verbose.stderr
 
     def test_corrupt_file_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,9 +1,12 @@
 """Tests for the L2 discrepancy measures and their discrete counterparts."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from aoakit import (
@@ -29,10 +32,41 @@ from aoakit.constructions import ConstructionSpec, ak_half
 from aoakit.discrepancy import BoundCheck, PointSet, _cross_min
 
 from conftest import random_array
-from oracles import dd_sq_slow, discrepancy_sq_slow
+from oracles import dd_sq_slow, discrepancy_sq_broadcast, discrepancy_sq_slow
 
 KERNELS = [CENTERED, WRAPAROUND, MIXTURE]
 COUPLINGS = {"centered": cd_coupling, "wraparound": wd_coupling, "mixture": md_coupling}
+
+
+@st.composite
+def lattice_point_sets(draw):
+    s = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 12))
+    cells = draw(
+        st.lists(
+            st.lists(st.integers(1, s), min_size=k, max_size=k),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return points_of(Array(np.array(cells), s))
+
+
+@st.composite
+def cube_point_sets(draw):
+    """Points in [0,1]^k with repeated rows, repeated and boundary coordinates."""
+    k = draw(st.integers(1, 12))
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0)
+    )
+    rows = draw(
+        st.lists(st.lists(coord, min_size=k, max_size=k), min_size=1, max_size=10)
+    )
+    picks = draw(
+        st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40)
+    )
+    return PointSet(np.array([rows[i] for i in picks], dtype=float))
 
 
 class TestPointSet:
@@ -141,6 +175,27 @@ class TestDiscrepancy:
         assert wd(a) ** 2 == pytest.approx(0.3386, abs=5e-4)
         assert cd(a) ** 2 == pytest.approx(0.0841, abs=5e-4)
         assert md(a) ** 2 == pytest.approx(0.5341, abs=5e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(lattice_point_sets(), cube_point_sets()))
+    def test_column_fold_is_bit_identical_to_the_tensor(self, ps):
+        for kernel in KERNELS:
+            assert discrepancy_sq(ps, kernel) == discrepancy_sq_broadcast(ps, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_memory_is_quadratic_in_runs_only(self, rng, kernel):
+        # An N x N x k float tensor would be 48 MB here.  The fold keeps two
+        # N x N arrays; the cross term's N x k temporaries, freed before the
+        # fold starts, peak at about three.
+        n, k = 200, 150
+        ps = points_of(random_array(rng, n_runs=n, n_factors=k, n_levels=5))
+        tracemalloc.start()
+        try:
+            discrepancy_sq(ps, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8 + 64 * 1024
 
     def test_row_order_is_irrelevant(self, rng):
         a = random_array(rng)

@@ -23,6 +23,7 @@ from aoakit import (
     write_encoding,
 )
 from aoakit.arrays import Array
+from aoakit.constructions import ConstructionSpec, construct
 from aoakit.fileio import CatalogEntry, format_exact, metrics_snapshot
 from aoakit.symmetry import SymmetricEncoding, compress, semicyclic_generator
 
@@ -243,6 +244,20 @@ class TestSnapshot:
 
     def test_oa_flags(self, oa_4_3_2):
         assert metrics_snapshot(oa_4_3_2)["is_oa2"] == "1"
+
+    @pytest.mark.parametrize(
+        "variant, pinned",
+        [
+            ("half", ("0.7447644996480836", "3.7786470722888597", "10.717674941179608")),
+            ("odd_ext", ("2.0108645267589753", "33.55815002142938", "275.1298913094646")),
+        ],
+    )
+    def test_discrepancy_strings_are_pinned(self, variant, pinned):
+        # Catalogs store these repr strings and recheck compares them exactly,
+        # so any change to the order of the float arithmetic must fail here.
+        a = construct(ConstructionSpec(s=3, ell=3, kappa=1, variant=variant))
+        snap = metrics_snapshot(a)
+        assert (snap["cd"], snap["wd"], snap["md"]) == pinned
 
     def test_needs_two_factors(self):
         one_col = Array(np.array([[1], [2]]), n_levels=2)
