@@ -108,4 +108,4 @@ from .symmetry import (
     semicyclic_generator,
 )
 
-__version__ = "0.1.0"
+from ._version import __version__

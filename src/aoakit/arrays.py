@@ -10,6 +10,8 @@ All strength-t counting goes through one table, ``_count_table(a, t)``: row r
 holds the level-tuple counts of the r-th column t-tuple.  Tolerance,
 unbalance, bandwidth and ``is_oa`` here, the pairwise criteria in ``metrics``
 and the incremental tables of ``search`` and ``ipmodel`` are all read off it.
+The exact oracles of ``search`` and ``ipmodel`` count the pairs a block of
+candidate last columns forms with fixed columns by ``_last_column_counts``.
 
 All counting metrics are exact: deviations are computed as integers scaled by
 ``s^t`` and reduced at the end, so results are python ints (or Fractions when
@@ -149,6 +151,74 @@ def _count_table(a: Array, t: int) -> np.ndarray:
             code.ravel(), minlength=len(chunk) * st
         ).reshape(-1, st)
     return table
+
+
+def _level_digits(index: np.ndarray, n: int, s: int) -> np.ndarray:
+    """len(index) x n base-s digits of column indices, most significant first.
+
+    Row i is the 0-based level vector that ``itertools.product(range(s),
+    repeat=n)`` yields at position ``index[i]``.
+    """
+    digits = index[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits %= s
+    return digits
+
+
+def _last_column_counts(fixed: np.ndarray, s: int, start: int, stop: int):
+    """Pair counts of fixed columns against candidate last columns, in blocks.
+
+    ``fixed`` is an N x m matrix of 0-based levels; the candidates are the
+    level vectors with indices ``start .. stop - 1`` in ``_level_digits``
+    order.  Yields ``(last, counts)`` per block: ``last`` holds the block's
+    C candidates in index order (C x N, 0-based), and ``counts`` is
+    C x m x s^2 int64, coded like the ``_count_table`` row of the pair
+    (fixed column, last column).  One offset-coded ``np.bincount`` counts a
+    block.  C is chosen so that the block's temporaries (the codes and the
+    copy ``np.bincount`` makes of them), the previous block, still held by
+    the caller's loop variables, and a few caller temporaries stay within
+    ``_CHUNK_BYTES``.
+    """
+    n, m = fixed.shape
+    ss = s * s
+    scaled = fixed.T * s
+    step = max(1, _CHUNK_BYTES // (8 * (2 * (n * (m + 1) + m * ss) + 8)))
+    for lo in range(start, stop, step):
+        last = _level_digits(np.arange(lo, min(lo + step, stop)), n, s)
+        code = scaled + last[:, None, :]
+        code += np.arange(0, len(last) * m * ss, ss).reshape(-1, m, 1)
+        counts = np.bincount(code.ravel(), minlength=len(last) * m * ss)
+        del code  # not held while the caller works on the block
+        yield last, counts.reshape(-1, m, ss)
+
+
+class _RunningMinimum:
+    """Minimum of values met in enumeration order, with its first witnesses.
+
+    Same result as visiting the values one by one and keeping the first
+    witness of every strictly lower value, then appending ties while fewer
+    than ``cap`` witnesses are held.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.value: int | None = None
+        self.witnesses: list[Array] = []
+
+    def update(self, values: np.ndarray, witness) -> None:
+        """Fold in a block of values; ``witness(i)`` builds the i-th state's array."""
+        if not len(values):
+            return
+        low = int(values.min())
+        if self.value is not None and low > self.value:
+            return
+        if self.value is None or low < self.value:
+            self.value, self.witnesses = low, []
+            room = max(1, self.cap)
+        else:
+            room = self.cap - len(self.witnesses)
+        if room > 0:
+            hits = np.flatnonzero(values == low)[:room]
+            self.witnesses += [witness(int(i)) for i in hits]
 
 
 def _pair_rows(k: int) -> np.ndarray:

@@ -69,6 +69,8 @@ class PointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError("points must form a non-empty 2-D matrix")
+        if not np.isfinite(pts).all():
+            raise ValueError("coordinates must be finite")
         if pts.min() < 0.0 or pts.max() > 1.0:
             raise ValueError("coordinates must lie in [0, 1]")
         pts.setflags(write=False)

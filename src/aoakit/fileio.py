@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._version import __version__
 from .arrays import Array, is_oa, tolerance, unbalance
 from .discrepancy import cd, md, wd
 from .metrics import d1, d2, d_value, default_contrast
@@ -251,7 +252,9 @@ class CatalogEntry:
         return self.n_runs // s2 if self.n_runs % s2 == 0 else None
 
     def to_json(self) -> str:
+        """The sidecar text; ``aoakit_version`` records the writer and is not read back."""
         doc = {
+            "aoakit_version": __version__,
             "format_version": _FORMAT_VERSION,
             "name": self.name,
             "parameters": {

@@ -20,6 +20,13 @@ objective, for p = 2 the objective is the diagonal quadratic sum delta^2.
 For any feasible assignment the objective equals Unb_{p,2} of the
 reconstructed array plus the last-column strength-1 term sum_m |d1_m|^p.
 
+``exhaustive_optimum`` enumerates the feasible set in ``itertools.product``
+order: balanced middle columns 3..k-1, then the last column.  The pair
+counts without the last column are taken once per tuple of middle columns
+(a tuple outside the epsilon bounds is skipped whole); all s^N last columns
+are then scored in blocks of one integer count matrix, and the witnesses are
+the first optimal states in that order.
+
 Optional symmetry constraints tie variables so that ((m_bar..s)|id) or the
 Klein column swap (id|(1,2)(3,4)) is an automorphism of every feasible array;
 the forced row maps act on the pinned two-column prefix within each copy.
@@ -44,7 +51,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import Array, _count_table, _pair_rows, tolerance, unbalance
+from .arrays import (
+    Array,
+    _count_table,
+    _last_column_counts,
+    _pair_rows,
+    _RunningMinimum,
+    tolerance,
+    unbalance,
+)
 
 __all__ = [
     "IpInstance",
@@ -645,44 +660,46 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
     Free non-last columns satisfy exact level balance; the last column is
     only delta1-relaxed; candidates violating the epsilon bounds on the pair
     deviations are discarded.  Intended for tiny instances.
+
+    The witnesses are the first eight optimal states in enumeration order
+    (see the module docstring).
     """
     if inst.symmetry is not None:
         raise ValueError("exhaustive enumeration does not support symmetry constraints")
-    s, k, lam, n = inst.s, inst.k, inst.lam, inst.n_runs
+    s, k, lam, n, p = inst.s, inst.k, inst.lam, inst.n_runs, inst.p
     states = _balanced_column_count(n, s, lam) ** (k - 3) * s**n
     if states > max_states:
         raise ValueError(f"feasible set has {states} states (> {max_states})")
-    balanced = list(_balanced_columns(n, s, lam))
+    balanced = list(_balanced_columns(n, s, lam)) if k > 3 else []
     head = canonical_head(s, lam)
-    last_options = list(itertools.product(range(1, s + 1), repeat=n))
+    # a pair count c is within the epsilon bounds iff low <= c <= high
+    low, high = lam + inst.delta_lower, lam + inst.epsilon
 
-    best: int | None = None
-    witnesses: list[Array] = []
+    best = _RunningMinimum(8)
     feasible = 0
-    lo = inst.delta_lower
     for mids in itertools.product(balanced, repeat=k - 3):
-        for last in last_options:
-            cells = np.column_stack(
-                [head] + [np.array(col, dtype=np.int64) for col in mids + (last,)]
+        cells = np.column_stack([head] + [np.array(col, dtype=np.int64) for col in mids])
+        # every pair without the last column except the pinned one: d0, d2, d3
+        table = _count_table(Array(cells, s), 2)[1:]
+        if table.size and (table.min() < low or table.max() > high):
+            continue
+        fixed_objective = int((np.abs(table - lam) ** p).sum())
+        for last, counts in _last_column_counts(cells - 1, s, 0, s**n):
+            flat = counts.reshape(len(last), -1)
+            ok = (flat.min(axis=1) >= low) & (flat.max(axis=1) <= high)
+            # level counts of the last column, summed over pinned column 1
+            d1 = counts[:, 0].reshape(-1, s, s).sum(axis=1) - lam * s
+            objective = (np.abs(flat - lam) ** p).sum(axis=1) + (np.abs(d1) ** p).sum(axis=1)
+            keep = np.flatnonzero(ok)
+            feasible += len(keep)
+            best.update(
+                objective[keep] + fixed_objective,
+                lambda i: Array(np.column_stack([cells, last[keep[i]] + 1]), s),
             )
-            a = Array(cells, s)
-            deltas = _delta_values(inst, a)
-            if any(
-                not lo <= v <= inst.epsilon
-                for name, v in deltas.items()
-                if not name.startswith("d1")
-            ):
-                continue
-            feasible += 1
-            objective = sum(abs(v) ** inst.p for v in deltas.values())
-            if best is None or objective < best:
-                best, witnesses = objective, [a]
-            elif objective == best and len(witnesses) < 8:
-                witnesses.append(a)
-    if best is None:
+    if best.value is None:
         raise ValueError("no feasible assignment under the epsilon cap")
     return ExhaustiveResult(
-        value=best, witnesses=witnesses, states=states, feasible_states=feasible
+        value=best.value, witnesses=best.witnesses, states=states, feasible_states=feasible
     )
 
 

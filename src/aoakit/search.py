@@ -13,11 +13,22 @@ Compressed encodings (``bicyclic``: run orbits under ((1..s)|(1..r));
 ``quasicyclic``: all-ones fixed rows plus orbits under ((2..s)|id)) search
 over core cells only and expand before every evaluation.
 
+A ``time_budget`` is checked before every move a scan visits, so a search
+stops within one evaluation of running out and reports ``complete`` False.
+With ``--verbose`` every pass logs the moves it examined and its time.
+
 ``brute_force_optimum`` is an exhaustive oracle for tiny instances: it pins
 the first two columns to the lexicographic lambda-fold full factorial and
 enumerates the remaining columns as a sorted multiset (both reductions leave
 the optimal objective values unchanged because the metrics are invariant
 under level/column/row permutations), optionally under a tolerance cap.
+A state is a sorted tuple of indices into the s^N level vectors listed in
+``itertools.product`` order, and states are taken in
+``combinations_with_replacement`` order.  All but the last column of a state
+form its prefix, which is counted once; every last column from the prefix's
+last index up is then scored in blocks of one integer count matrix
+(``arrays._last_column_counts``).  The witnesses of each minimum are its
+first states in that order.
 """
 
 from __future__ import annotations
@@ -30,7 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import Array, Exact, _count_table, _pair_rows, tolerance, unbalance
+from .arrays import (
+    Array,
+    Exact,
+    _count_table,
+    _last_column_counts,
+    _level_digits,
+    _pair_rows,
+    _RunningMinimum,
+    tolerance,
+    unbalance,
+)
 from .symmetry import _default_bicyclic_r
 
 __all__ = [
@@ -241,6 +262,10 @@ def _evaluate(enc: _Encoder, cells: np.ndarray, p: int) -> FrontMember:
     return FrontMember(cells=cells.copy(), array=arr, objective=obj)
 
 
+class _OutOfTime(Exception):
+    """Raised inside a scan when the search's time budget has run out."""
+
+
 @dataclass
 class ScanReport:
     """Outcome of one neighborhood scan (stopped at the first insertion)."""
@@ -295,11 +320,13 @@ def _single_search(
     front = ParetoFront()
     front_insert(front, _evaluate(enc, enc.random_cells(rng), cfg.p))
 
-    start = time.monotonic()
+    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
     passes = 0
     tables: dict[int, _PairTables] = {}
 
     def visitor(idx: int, candidate: np.ndarray) -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _OutOfTime
         if cfg.encoding == "plain":
             if idx not in tables:
                 tables[idx] = _PairTables(front.members[idx].array, cfg.p)
@@ -323,21 +350,30 @@ def _single_search(
         return front_insert(front, _evaluate(enc, candidate, cfg.p))
 
     while True:
-        report = neighborhood_scan(front, cfg.radius, visitor)
-        tables.clear()
+        began = time.perf_counter()
         passes += 1
+        try:
+            report = neighborhood_scan(front, cfg.radius, visitor)
+        except _OutOfTime:
+            front.complete = False
+            logger.info(
+                "pass %d: time budget ran out after %.3f s",
+                passes,
+                time.perf_counter() - began,
+            )
+            break
+        tables.clear()
         logger.info(
-            "pass %d: front size %d, best %s",
+            "pass %d: examined %d in %.3f s, front size %d, best %s",
             passes,
+            report.examined,
+            time.perf_counter() - began,
             len(front.members),
             min(front.objectives()),
         )
         if not report.changed:
             break
         if cfg.max_passes is not None and passes >= cfg.max_passes:
-            front.complete = False
-            break
-        if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
             front.complete = False
             break
     return front
@@ -410,35 +446,45 @@ def brute_force_optimum(
     )
     head = head[np.lexsort((head[:, 1], head[:, 0]))]
 
-    vectors = (
-        list(itertools.product(range(1, s + 1), repeat=n_runs)) if k > 2 else []
-    )
-    best_unb = None
-    best_tol = None
-    unb_wit: list[Array] = []
-    tol_wit: list[Array] = []
-    for tail in itertools.combinations_with_replacement(vectors, k - 2):
-        cells = np.column_stack([head] + [np.array(v, dtype=np.int64) for v in tail])
-        arr = Array(cells, s)
-        tol = tolerance(arr, 2)
-        if best_tol is None or tol < best_tol:
-            best_tol, tol_wit = tol, [arr]
-        elif tol == best_tol and len(tol_wit) < max_witnesses:
-            tol_wit.append(arr)
-        if tol_cap is not None and tol > tol_cap:
-            continue
-        unb = unbalance(arr, 2, p)
-        if best_unb is None or unb < best_unb:
-            best_unb, unb_wit = unb, [arr]
-        elif unb == best_unb and len(unb_wit) < max_witnesses:
-            unb_wit.append(arr)
-    if best_unb is None:
+    tol_best = _RunningMinimum(max_witnesses)
+    unb_best = _RunningMinimum(max_witnesses)
+
+    def fold(tol: np.ndarray, unb: np.ndarray, witness) -> None:
+        tol_best.update(tol, witness)
+        if tol_cap is None:
+            unb_best.update(unb, witness)
+        else:
+            keep = np.flatnonzero(tol <= tol_cap)
+            unb_best.update(unb[keep], lambda i: witness(keep[i]))
+
+    if k == 2:
+        only = Array(head, s)
+        fold(np.array([tolerance(only, 2)]), np.array([unbalance(only, 2, p)]), lambda i: only)
+        prefixes = ()
+    else:
+        # a state is a sorted tail of k-2 pool indices: its first k-3 entries
+        # fix the prefix, and the last one runs from the prefix's last entry up
+        prefixes = itertools.combinations_with_replacement(range(n_vectors), k - 3)
+    for prefix in prefixes:
+        prefix_cols = _level_digits(np.array(prefix, dtype=np.int64), n_runs, s) + 1
+        cells = np.column_stack([head, *prefix_cols])
+        dev = np.abs(_count_table(Array(cells, s), 2) - lam)
+        prefix_tol, prefix_unb = int(dev.max()), int((dev**p).sum())
+        start = prefix[-1] if prefix else 0
+        for last, counts in _last_column_counts(cells - 1, s, start, n_vectors):
+            dev = np.abs(counts.reshape(len(last), -1) - lam)
+            fold(
+                np.maximum(dev.max(axis=1), prefix_tol),
+                (dev**p).sum(axis=1) + prefix_unb,
+                lambda i: Array(np.column_stack([cells, last[i] + 1]), s),
+            )
+    if unb_best.value is None:
         raise ValueError(f"no array satisfies the tolerance cap {tol_cap}")
     return OracleResult(
-        min_unbalance=best_unb,
-        min_tolerance=best_tol,
-        unbalance_witnesses=unb_wit,
-        tolerance_witnesses=tol_wit,
+        min_unbalance=unb_best.value,
+        min_tolerance=tol_best.value,
+        unbalance_witnesses=unb_best.witnesses,
+        tolerance_witnesses=tol_best.witnesses,
         tol_cap=tol_cap,
         states=states,
     )

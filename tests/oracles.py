@@ -2,19 +2,32 @@
 
 Everything here is written in plain Python (loops, Fractions, itertools) with
 no reuse of the library's own vectorised code paths, so that agreement between
-the two is meaningful evidence of correctness.  The exception is
+the two is meaningful evidence of correctness.  The exceptions are
 ``discrepancy_sq_broadcast``, the library's earlier numpy formula, kept as a
-bit-for-bit reference for the float arithmetic order.
+bit-for-bit reference for the float arithmetic order, and the two per-state
+exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
+the library's earlier enumerations kept verbatim as the reference for the
+block-scored ones (value, state counts and witnesses in order).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from aoakit.arrays import Array
+from aoakit.arrays import Array, tolerance, unbalance
+from aoakit.ipmodel import (
+    ExhaustiveResult,
+    IpInstance,
+    _balanced_column_count,
+    _balanced_columns,
+    _delta_values,
+    canonical_head,
+)
+from aoakit.search import OracleResult
 
 
 def count_tuple_slow(a: Array, x, cols) -> int:
@@ -162,3 +175,118 @@ def min_unbalance_grid_4_4_2(p: int):
                     elif tol < best_tol:
                         best_tol = tol
     return best_unb, best_tol
+
+
+def exhaustive_optimum_loop(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveResult:
+    """Optimal objective by direct enumeration of the model's feasible set.
+
+    Free non-last columns satisfy exact level balance; the last column is
+    only delta1-relaxed; candidates violating the epsilon bounds on the pair
+    deviations are discarded.  Intended for tiny instances.
+    """
+    if inst.symmetry is not None:
+        raise ValueError("exhaustive enumeration does not support symmetry constraints")
+    s, k, lam, n = inst.s, inst.k, inst.lam, inst.n_runs
+    states = _balanced_column_count(n, s, lam) ** (k - 3) * s**n
+    if states > max_states:
+        raise ValueError(f"feasible set has {states} states (> {max_states})")
+    balanced = list(_balanced_columns(n, s, lam))
+    head = canonical_head(s, lam)
+    last_options = list(itertools.product(range(1, s + 1), repeat=n))
+
+    best: int | None = None
+    witnesses: list[Array] = []
+    feasible = 0
+    lo = inst.delta_lower
+    for mids in itertools.product(balanced, repeat=k - 3):
+        for last in last_options:
+            cells = np.column_stack(
+                [head] + [np.array(col, dtype=np.int64) for col in mids + (last,)]
+            )
+            a = Array(cells, s)
+            deltas = _delta_values(inst, a)
+            if any(
+                not lo <= v <= inst.epsilon
+                for name, v in deltas.items()
+                if not name.startswith("d1")
+            ):
+                continue
+            feasible += 1
+            objective = sum(abs(v) ** inst.p for v in deltas.values())
+            if best is None or objective < best:
+                best, witnesses = objective, [a]
+            elif objective == best and len(witnesses) < 8:
+                witnesses.append(a)
+    if best is None:
+        raise ValueError("no feasible assignment under the epsilon cap")
+    return ExhaustiveResult(
+        value=best, witnesses=witnesses, states=states, feasible_states=feasible
+    )
+
+
+def brute_force_optimum_loop(
+    n_runs: int,
+    k: int,
+    s: int,
+    p: int = 2,
+    tol_cap: int | None = None,
+    max_states: int = 10**8,
+    max_witnesses: int = 8,
+) -> OracleResult:
+    """Exhaustive minimum unbalance/tolerance for tiny (N, k, s).
+
+    The first two columns are pinned to the lambda-fold lexicographic full
+    factorial and the remaining k-2 columns range over sorted multisets of
+    column vectors.  With ``tol_cap`` the unbalance minimum is taken over
+    arrays with Tol_2 <= tol_cap (the hierarchy variant).
+    """
+    if n_runs % (s * s):
+        raise ValueError("N must be a multiple of s^2")
+    if k < 2:
+        raise ValueError("need at least two columns")
+    lam = n_runs // (s * s)
+    n_vectors = s**n_runs
+    states = math.comb(n_vectors + k - 3, k - 2)
+    if states > max_states:
+        raise ValueError(f"search space has {states} states (> {max_states})")
+    if k > 2 and n_vectors > 10**6:
+        raise ValueError(f"column-vector pool has {n_vectors} entries (> 10^6)")
+
+    head = np.array(
+        [(u, v) for u in range(1, s + 1) for v in range(1, s + 1)] * lam,
+        dtype=np.int64,
+    )
+    head = head[np.lexsort((head[:, 1], head[:, 0]))]
+
+    vectors = (
+        list(itertools.product(range(1, s + 1), repeat=n_runs)) if k > 2 else []
+    )
+    best_unb = None
+    best_tol = None
+    unb_wit: list[Array] = []
+    tol_wit: list[Array] = []
+    for tail in itertools.combinations_with_replacement(vectors, k - 2):
+        cells = np.column_stack([head] + [np.array(v, dtype=np.int64) for v in tail])
+        arr = Array(cells, s)
+        tol = tolerance(arr, 2)
+        if best_tol is None or tol < best_tol:
+            best_tol, tol_wit = tol, [arr]
+        elif tol == best_tol and len(tol_wit) < max_witnesses:
+            tol_wit.append(arr)
+        if tol_cap is not None and tol > tol_cap:
+            continue
+        unb = unbalance(arr, 2, p)
+        if best_unb is None or unb < best_unb:
+            best_unb, unb_wit = unb, [arr]
+        elif unb == best_unb and len(unb_wit) < max_witnesses:
+            unb_wit.append(arr)
+    if best_unb is None:
+        raise ValueError(f"no array satisfies the tolerance cap {tol_cap}")
+    return OracleResult(
+        min_unbalance=best_unb,
+        min_tolerance=best_tol,
+        unbalance_witnesses=unb_wit,
+        tolerance_witnesses=tol_wit,
+        tol_cap=tol_cap,
+        states=states,
+    )

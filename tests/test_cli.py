@@ -6,6 +6,7 @@ error, 3 verification failure.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,18 @@ def run(capsys, *argv):
 def lines_of(out):
     return dict(
         line.split(" = ", 1) for line in out.splitlines() if " = " in line
+    )
+
+
+def run_child(*argv):
+    """Run aoakit in a child process; ``--verbose`` needs one, because
+    logging.basicConfig leaves the test runner's own root handlers alone."""
+    paths = [str(Path(aoakit.__file__).resolve().parents[1])]
+    paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "aoakit", *map(str, argv)],
+        capture_output=True, env=env, timeout=60, check=True,
     )
 
 
@@ -104,20 +117,8 @@ class TestEval:
         assert f"p={p} must be >= 1" in err
 
     def test_verbose_times_each_metric_group_on_stderr_only(self, t0_file):
-        # A child process, because logging.basicConfig leaves the test
-        # runner's own root handlers alone.
-        paths = [str(Path(aoakit.__file__).resolve().parents[1])]
-        paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        argv = ["eval", str(t0_file), "--d-criteria", "--discrepancies"]
-
-        def aoakit_run(*flags):
-            return subprocess.run(
-                [sys.executable, "-m", "aoakit", *flags, *argv],
-                capture_output=True, env=env, timeout=60, check=True,
-            )
-
-        quiet, verbose = aoakit_run(), aoakit_run("--verbose")
+        argv = ["eval", t0_file, "--d-criteria", "--discrepancies"]
+        quiet, verbose = run_child(*argv), run_child("--verbose", *argv)
         assert quiet.stdout and verbose.stdout == quiet.stdout
         assert quiet.stderr == b""
         for group in ("tables", "d-criteria", "discrepancies"):
@@ -224,6 +225,26 @@ class TestSearch:
         for line in (out_dir / "front.csv").read_text().splitlines()[1:]:
             member, _ = read_array(out_dir / line.split(",")[2])
             assert is_automorphism(bicyclic_generator(3, 5), member)
+
+    def test_verbose_logs_pass_telemetry_on_stderr_only(self, tmp_path):
+        argv = ["search", 9, 5, 3, "--encoding", "bicyclic", "--seed", 0]
+        quiet = run_child(*argv, "-o", tmp_path / "quiet")
+        verbose = run_child("--verbose", *argv, "-o", tmp_path / "verbose")
+        assert quiet.stdout and verbose.stdout == quiet.stdout
+        assert quiet.stderr == b""
+        files = sorted(p.name for p in (tmp_path / "quiet").iterdir())
+        assert "front.json" in files
+        assert sorted(p.name for p in (tmp_path / "verbose").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "verbose" / name).read_bytes() == (
+                tmp_path / "quiet" / name
+            ).read_bytes()
+        passes = re.findall(
+            rb"pass (\d+): examined (\d+) in \d+\.\d{3} s, front size \d+, best",
+            verbose.stderr,
+        )
+        assert passes and [int(n) for n, _ in passes] == list(range(1, len(passes) + 1))
+        assert all(int(examined) > 0 for _, examined in passes)
 
     def test_same_seed_gives_identical_outputs(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

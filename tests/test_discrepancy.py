@@ -95,6 +95,11 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(np.array([[-0.1, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(np.array([[0.5, 0.25], [bad, 0.5]]))
+
     def test_points_are_write_locked(self):
         ps = PointSet(np.array([[0.25, 0.75]]))
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aoakit
 from aoakit import (
     ParseError,
     catalog_add,
@@ -295,6 +296,13 @@ class TestCatalogEntry:
         assert doc["provenance"] == "construction"
         assert doc["config"] == {"seed": 7}
 
+    def test_records_the_aoakit_version_apart_from_the_format(self):
+        doc = json.loads(self.entry().to_json())
+        assert doc["aoakit_version"] == aoakit.__version__
+        assert doc["format_version"] == 1
+        doc["aoakit_version"] = "0.0.0-other"
+        assert CatalogEntry.from_json(json.dumps(doc)) == self.entry()
+
     def test_rejects_unknown_format_version(self):
         doc = json.loads(self.entry().to_json())
         doc["format_version"] = 99
@@ -344,6 +352,16 @@ class TestCatalog:
         assert report.ok
         assert report.checked == 3
         assert report.mismatches == [] and report.corrupt == []
+
+    def test_sidecar_without_version_loads_and_rechecks(self, tmp_path, t0):
+        catalog_add(tmp_path, t0, "t0")
+        sidecar = tmp_path / "t0.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["aoakit_version"]
+        sidecar.write_text(json.dumps(doc))
+        assert [e.name for e in catalog_list(tmp_path)] == ["t0"]
+        report = catalog_recheck(tmp_path)
+        assert report.ok and report.checked == 1
 
     def test_recheck_flags_edited_array(self, tmp_path, t0):
         catalog_add(tmp_path, t0, "t0")

@@ -1,9 +1,14 @@
+import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aoakit.arrays as arrays_mod
 import aoakit.ipmodel as ipmodel_mod
 from aoakit.arrays import Array, cyclic_oa, is_oa, tolerance, unbalance
 from aoakit.ipmodel import (
@@ -22,6 +27,8 @@ from aoakit.ipmodel import (
     solve_with_command,
     verify_solution,
 )
+
+from oracles import exhaustive_optimum_loop
 
 
 def oa_8_4_2() -> Array:
@@ -180,6 +187,49 @@ class TestExhaustive:
         result = exhaustive_optimum(inst)
         assert result.value == 0
         assert any(is_oa(w, 2) for w in result.witnesses)
+
+    @staticmethod
+    def _assert_same(inst):
+        try:
+            want = exhaustive_optimum_loop(inst)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                exhaustive_optimum(inst)
+            return
+        got = exhaustive_optimum(inst)
+        assert type(got.value) is int
+        assert (got.value, got.states, got.feasible_states) == (
+            want.value,
+            want.states,
+            want.feasible_states,
+        )
+        assert got.witnesses == want.witnesses
+
+    # (k, lam) with at most 3456 states: the per-state loop takes ~0.15 ms each
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([(3, 1), (4, 1), (5, 1), (6, 1), (3, 2)]),
+        st.sampled_from([1, 2]),
+        st.integers(1, 3),
+    )
+    def test_blocks_equal_per_state_loop(self, shape, p, epsilon):
+        k, lam = shape
+        self._assert_same(IpInstance(s=2, k=k, lam=lam, p=p, epsilon=epsilon))
+
+    def test_blocks_equal_per_state_loop_on_17920_states(self):
+        self._assert_same(IpInstance(s=2, k=4, lam=2, p=1, epsilon=1))
+
+    def test_last_column_list_is_never_built(self):
+        # 2^16 last columns: listing them, or all their counts, would take MBs
+        inst = IpInstance(s=2, k=3, lam=4)
+        tracemalloc.start()
+        try:
+            result = exhaustive_optimum(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.states == 2**16 and result.value == 0
+        assert peak <= arrays_mod._CHUNK_BYTES + 64 * 1024
 
     def test_rejects_symmetry(self):
         inst = IpInstance(s=3, k=4, symmetry="semicyclic", m_bar=2)

@@ -1,7 +1,11 @@
 import itertools
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aoakit.search as search
 from aoakit.arrays import Array, is_oa, tolerance, unbalance
@@ -17,7 +21,7 @@ from aoakit.search import (
 )
 from aoakit.symmetry import bicyclic_generator, is_automorphism
 
-from oracles import min_unbalance_grid_4_4_2
+from oracles import brute_force_optimum_loop, min_unbalance_grid_4_4_2
 
 
 def member(unb, tol) -> FrontMember:
@@ -170,6 +174,17 @@ class TestLocalSearch:
         for ma, mb in zip(a.members, b.members):
             assert ma.array == mb.array
 
+    def test_time_budget_is_checked_within_a_pass(self):
+        # Unbudgeted, this search reaches its last pass after about 0.2 s, and
+        # that pass alone scans for about 1.6 s (2-vCPU VM).
+        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=0.3)
+        start = time.monotonic()
+        front = local_pareto_search(25, 6, 5, cfg)
+        elapsed = time.monotonic() - start
+        assert front.complete is False
+        assert front.members
+        assert elapsed < cfg.time_budget + 0.8
+
     def test_requires_square_divisor(self):
         with pytest.raises(ValueError):
             local_pareto_search(10, 3, 3, SearchConfig())
@@ -233,6 +248,35 @@ class TestBruteForce:
         # Tolerance 0 is infeasible at these parameters (no OA exists).
         with pytest.raises(ValueError):
             brute_force_optimum(4, 4, 2, p=1, tol_cap=0)
+
+    @staticmethod
+    def _assert_same(n, k, s, p, tol_cap):
+        try:
+            want = brute_force_optimum_loop(n, k, s, p=p, tol_cap=tol_cap)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                brute_force_optimum(n, k, s, p=p, tol_cap=tol_cap)
+            return
+        got = brute_force_optimum(n, k, s, p=p, tol_cap=tol_cap)
+        for name in ("min_unbalance", "min_tolerance", "tol_cap", "states"):
+            assert getattr(got, name) == getattr(want, name)
+            assert type(getattr(got, name)) is type(getattr(want, name))
+        assert got.unbalance_witnesses == want.unbalance_witnesses
+        assert got.tolerance_witnesses == want.tolerance_witnesses
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(4, 2, 2), (4, 3, 2), (4, 4, 2), (4, 5, 2), (8, 3, 2), (9, 2, 3)]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_blocks_equal_per_state_loop(self, shape, p, tol_cap):
+        self._assert_same(*shape, p, tol_cap)
+
+    # the per-state loop takes about 2 s on each of these
+    @pytest.mark.parametrize("n, k, s, p, tol_cap", [(8, 4, 2, 2, 0), (9, 3, 3, 1, 1)])
+    def test_blocks_equal_per_state_loop_on_large_pools(self, n, k, s, p, tol_cap):
+        self._assert_same(n, k, s, p, tol_cap)
 
     def test_guards(self):
         with pytest.raises(ValueError):
