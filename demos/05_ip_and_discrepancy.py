@@ -42,12 +42,14 @@ model = build_model(inst)
 print(f"model for 4 runs x 4 factors x 2 levels: "
       f"{len(model.variables)} variables, {len(model.constraints)} constraints")
 
-workdir = Path(tempfile.mkdtemp(prefix="aoakit-demo-"))
-lp_path = workdir / "aoa_2_4.lp"
-lp_path.write_text(emit_lp(model), encoding="ascii")
-(workdir / "aoa_2_4.mps").write_text(emit_mps(model), encoding="ascii")
-print("wrote", lp_path)
-print("LP round-trips byte-identically:", emit_lp(parse_lp(lp_path.read_text())) == emit_lp(model))
+with tempfile.TemporaryDirectory(prefix="aoakit-demo-") as tmp:
+    workdir = Path(tmp)
+    lp_path = workdir / "aoa_2_4.lp"
+    lp_path.write_text(emit_lp(model), encoding="ascii")
+    (workdir / "aoa_2_4.mps").write_text(emit_mps(model), encoding="ascii")
+    print("wrote", lp_path)
+    print("LP round-trips byte-identically:",
+          emit_lp(parse_lp(lp_path.read_text())) == emit_lp(model))
 
 # Symmetry ties shrink the search space for a solver.
 sym_inst = IpInstance(s=3, k=5, p=1, symmetry="semicyclic", m_bar=2)

@@ -60,6 +60,7 @@ from .arrays import (
     tolerance,
     unbalance,
 )
+from .symmetry import cycle_permutation
 
 __all__ = [
     "IpInstance",
@@ -381,14 +382,12 @@ def build_model(inst: IpInstance) -> IpModel:
     return model
 
 
-def _semicyclic_row_map(inst: IpInstance) -> list[int]:
+def _semicyclic_row_map(inst: IpInstance, g: tuple[int, ...]) -> list[int]:
     """sigma[i-1] = image row of i under the prefix map (u,v) -> (g(u), g(v))."""
-    s, m_bar = inst.s, inst.m_bar
-    g = {m: m if m < m_bar else (m_bar + (m - m_bar + 1) % (s - m_bar + 1)) for m in range(1, s + 1)}
     out = []
     for i in range(1, inst.n_runs + 1):
-        copy, u, v = _prefix_of_row(s, i)
-        out.append(_row_of_prefix(s, copy, g[u], g[v]))
+        copy, u, v = _prefix_of_row(inst.s, i)
+        out.append(_row_of_prefix(inst.s, copy, g[u - 1], g[v - 1]))
     return out
 
 
@@ -408,14 +407,14 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     s = inst.s
     add = model.constraints.append
     if inst.symmetry in ("semicyclic", "both") and inst.m_bar < s:
-        sigma = _semicyclic_row_map(inst)
         m_bar = inst.m_bar
+        g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
+        sigma = _semicyclic_row_map(inst, g)
         for i in range(1, inst.n_runs + 1):
             for j in inst.free_columns:
                 for m in range(1, s + 1):
-                    gm = m + 1 if m_bar <= m < s else (m_bar if m == s else m)
                     fam = "sim1" if m < m_bar else ("sim2" if m < s else "sim3")
-                    a, b = _x(i, j, m), _x(sigma[i - 1], j, gm)
+                    a, b = _x(i, j, m), _x(sigma[i - 1], j, g[m - 1])
                     if a == b:
                         continue
                     add(Constraint(f"{fam}_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))

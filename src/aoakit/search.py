@@ -11,11 +11,14 @@ Pareto front of radius r.
 
 Compressed encodings (``bicyclic``: run orbits under ((1..s)|(1..r));
 ``quasicyclic``: all-ones fixed rows plus orbits under ((2..s)|id)) search
-over core cells only and expand before every evaluation.
+over core cells only.  Every evaluation expands them by one gather over the
+generator's powers (``symmetry._orbit_gather``), block-major: the fixed
+rows, then g^0 of every core row, then g^1 of every core row, and so on.
 
 A ``time_budget`` is checked before every move a scan visits, so a search
 stops within one evaluation of running out and reports ``complete`` False.
-With ``--verbose`` every pass logs the moves it examined and its time.
+With ``--verbose`` every pass logs the moves it examined, how many of them
+were delta-evaluated and fully evaluated, its insertions and its time.
 
 ``brute_force_optimum`` is an exhaustive oracle for tiny instances: it pins
 the first two columns to the lexicographic lambda-fold full factorial and
@@ -52,7 +55,14 @@ from .arrays import (
     tolerance,
     unbalance,
 )
-from .symmetry import _default_bicyclic_r
+from .symmetry import (
+    GroupElement,
+    _orbit_gather,
+    _powers,
+    bicyclic_generator,
+    cycle_permutation,
+    identity_element,
+)
 
 __all__ = [
     "ObjectiveVector",
@@ -133,6 +143,8 @@ class SearchConfig:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.bicyclic_r is not None and self.encoding != "bicyclic":
+            raise ValueError("bicyclic_r applies only to the bicyclic encoding")
 
 
 def front_insert(front: ParetoFront, member: FrontMember) -> bool:
@@ -148,31 +160,26 @@ def front_insert(front: ParetoFront, member: FrontMember) -> bool:
 
 
 class _Encoder:
-    """Expansion of searched cell matrices into full arrays, per encoding kind."""
+    """Block-major expansion of searched core cells into full arrays.
+
+    The generator is the identity (plain), ((1..s)|(1..r)) or ((2..s)|id).
+    """
 
     def __init__(self, kind: str, n_runs: int, k: int, s: int, r: int | None):
-        self.kind, self.n_runs, self.k, self.s = kind, n_runs, k, s
-        lam = n_runs // (s * s)
+        self.kind, self.s = kind, s
+        n_fixed = 0
         if kind == "plain":
-            self.core_shape = (n_runs, k)
+            g = identity_element(s, k)
         elif kind == "bicyclic":
-            if n_runs % s:
-                raise ValueError("bicyclic encoding requires s | N")
-            if r is None:
-                r = _default_bicyclic_r(s, k)
-            if s % r or not 1 <= r <= k:
-                raise ValueError("bicyclic r must divide s and satisfy 1 <= r <= k")
-            self.r = r
-            self.core_shape = (n_runs // s, k)
+            g = bicyclic_generator(s, k, r)
         elif kind == "quasicyclic":
-            if lam < 1 or n_runs != lam * s * s:
-                raise ValueError("quasicyclic encoding requires N = lambda * s^2")
-            if (n_runs - lam) % (s - 1):
-                raise ValueError("quasicyclic core size is not integral")
-            self.lam = lam
-            self.core_shape = ((n_runs - lam) // (s - 1), k)
+            g = GroupElement(cycle_permutation(s, tuple(range(2, s + 1))), tuple(range(1, k + 1)))
+            n_fixed = n_runs // (s * s)
         else:
             raise ValueError(f"unknown encoding {kind!r}")
+        self.powers = _powers(g)
+        self.fixed = np.ones((n_fixed, k), dtype=np.int64)
+        self.core_shape = ((n_runs - n_fixed) // len(self.powers[0]), k)
 
     def random_cells(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "quasicyclic":
@@ -183,27 +190,9 @@ class _Encoder:
                     return cells
         return rng.integers(1, self.s + 1, size=self.core_shape)
 
-    def expand(self, cells: np.ndarray) -> np.ndarray:
-        s, k = self.s, self.k
-        if self.kind == "plain":
-            return cells
-        if self.kind == "bicyclic":
-            blocks = []
-            base = np.arange(k)
-            for t in range(s):
-                perm = base.copy()
-                perm[: self.r] = (np.arange(self.r) - t) % self.r
-                blocks.append((cells[:, perm] - 1 + t) % s + 1)
-            return np.vstack(blocks)
-        blocks = [np.ones((self.lam, k), dtype=np.int64)]
-        moving = cells - 2  # levels >= 2 shift cyclically; level 1 is fixed
-        for t in range(s - 1):
-            block = np.where(cells == 1, 1, (moving + t) % (s - 1) + 2)
-            blocks.append(block)
-        return np.vstack(blocks)
-
     def to_array(self, cells: np.ndarray) -> Array:
-        return Array(self.expand(cells), self.s)
+        orbits = _orbit_gather(self.powers, cells).reshape(-1, cells.shape[1])
+        return Array(np.concatenate([self.fixed, orbits]), self.s)
 
 
 class _PairTables:
@@ -312,10 +301,7 @@ def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
     return ScanReport(changed=False, examined=examined)
 
 
-def _single_search(
-    n_runs: int, k: int, s: int, cfg: SearchConfig, seed: int
-) -> ParetoFront:
-    enc = _Encoder(cfg.encoding, n_runs, k, s, cfg.bicyclic_r)
+def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
     rng = np.random.default_rng(seed)
     front = ParetoFront()
     front_insert(front, _evaluate(enc, enc.random_cells(rng), cfg.p))
@@ -323,6 +309,7 @@ def _single_search(
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
     passes = 0
     tables: dict[int, _PairTables] = {}
+    tally = {"delta": 0, "full": 0}
 
     def visitor(idx: int, candidate: np.ndarray) -> bool:
         if deadline is not None and time.monotonic() > deadline:
@@ -332,6 +319,7 @@ def _single_search(
                 tables[idx] = _PairTables(front.members[idx].array, cfg.p)
             diff = np.argwhere(candidate != front.members[idx].cells)
             if len(diff) == 1:
+                tally["delta"] += 1
                 i, j = map(int, diff[0])
                 obj = tables[idx].change(i, j, int(candidate[i, j]))
                 if CROSS_CHECK_DELTA:
@@ -347,11 +335,13 @@ def _single_search(
                     objective=obj,
                 )
                 return front_insert(front, member)
+        tally["full"] += 1
         return front_insert(front, _evaluate(enc, candidate, cfg.p))
 
     while True:
         began = time.perf_counter()
         passes += 1
+        tally.update(delta=0, full=0)
         try:
             report = neighborhood_scan(front, cfg.radius, visitor)
         except _OutOfTime:
@@ -364,12 +354,16 @@ def _single_search(
             break
         tables.clear()
         logger.info(
-            "pass %d: examined %d in %.3f s, front size %d, best %s",
+            "pass %d: examined %d in %.3f s, front size %d, best %s, "
+            "delta-evaluated %d, fully evaluated %d, inserted %d",
             passes,
             report.examined,
             time.perf_counter() - began,
             len(front.members),
             min(front.objectives()),
+            tally["delta"],
+            tally["full"],
+            report.changed,  # a scan stops at its first insertion
         )
         if not report.changed:
             break
@@ -385,11 +379,15 @@ def local_pareto_search(n_runs: int, k: int, s: int, cfg: SearchConfig) -> Paret
     Every returned member's objectives are recomputed from its expanded array
     before return.
     """
+    for name, value, least in (("N", n_runs, 1), ("k", k, 2), ("s", s, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if n_runs % (s * s):
         raise ValueError("N must be a multiple of s^2")
+    enc = _Encoder(cfg.encoding, n_runs, k, s, cfg.bicyclic_r)
     merged = ParetoFront()
     for i in range(cfg.restarts):
-        front = _single_search(n_runs, k, s, cfg, cfg.seed + i)
+        front = _single_search(enc, cfg, cfg.seed + i)
         merged.complete = merged.complete and front.complete
         for m in front.members:
             front_insert(merged, m)

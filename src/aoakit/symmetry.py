@@ -16,11 +16,15 @@ automorphisms:
   (quasi-cyclic) stores all-ones fixed rows.
 - klein:      generator (id | (1,2)(3,4)); orbits have size 1 or 2 and
   expansion deduplicates fixed rows.
+
+Orbits are expanded by one gather over a generator's tabulated powers
+(``_orbit_gather``): ``expand`` and ``compress`` read it orbit-major, the
+local search block-major.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import re
 from dataclasses import dataclass
 
@@ -169,10 +173,10 @@ def bicyclic_generator(s: int, k: int, r: int | None = None) -> GroupElement:
     """((1..s) | (1..r)) with r | s and r <= k; r defaults to the largest such divisor."""
     if r is None:
         r = _default_bicyclic_r(s, k)
-    if s % r or r > k or r < 1:
+    if not 1 <= r <= k or s % r:
         raise ValueError("r must divide s and satisfy 1 <= r <= k")
-    lp = cycle_permutation(s, tuple(range(1, s + 1)))
-    cp = cycle_permutation(k, tuple(range(1, r + 1))) if r > 1 else tuple(range(1, k + 1))
+    lp = tuple(range(2, s + 1)) + (1,)
+    cp = tuple(range(2, r + 1)) + (1,) + tuple(range(r + 1, k + 1))
     return GroupElement(lp, cp)
 
 
@@ -215,16 +219,36 @@ def is_automorphism(g: GroupElement, a: Array) -> bool:
     return equivalent(act(g, a), a)
 
 
-def _act_row(g: GroupElement, row: tuple[int, ...]) -> tuple[int, ...]:
-    inv = g.inverse().col_perm
-    return tuple(g.level_perm[row[inv[j] - 1] - 1] for j in range(len(row)))
+def _kind_generator(kind: str, s: int, k: int, param: int | None) -> GroupElement:
+    """The generator of an encoding kind (param is r or a; None for klein)."""
+    if kind == "bicyclic":
+        return bicyclic_generator(s, k, param)
+    if kind == "semicyclic":
+        return semicyclic_generator(s, k, param)
+    if kind == "klein":
+        return klein_generator(s, k)
+    raise ValueError(f"unknown encoding kind {kind!r}")
 
 
-def _orbit(g: GroupElement, row: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    rows = [row]
-    for _ in range(size - 1):
-        rows.append(_act_row(g, rows[-1]))
-    return rows
+def _powers(g: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """Level maps (size x (s+1)) and column sources (size x k) of g^0..g^(size-1).
+
+    size is the order of g; g^t sends cells ``c`` to ``levels[t][c[:, sources[t]]]``.
+    """
+    step, back = np.array((0,) + g.level_perm), np.argsort(g.col_perm)
+    levels, sources = [np.arange(g.n_levels + 1)], [np.arange(g.n_factors)]
+    while True:
+        lv, src = step[levels[-1]], sources[-1][back]
+        if np.array_equal(lv, levels[0]) and np.array_equal(src, sources[0]):
+            return np.array(levels), np.array(sources)
+        levels.append(lv)
+        sources.append(src)
+
+
+def _orbit_gather(powers: tuple[np.ndarray, np.ndarray], core: np.ndarray) -> np.ndarray:
+    """size x n x k tensor whose slice t is g^t applied to every row of the n x k core."""
+    levels, sources = powers
+    return levels[np.arange(len(levels))[:, None, None], core[:, sources].swapaxes(0, 1)]
 
 
 @dataclass(frozen=True)
@@ -254,12 +278,8 @@ class SymmetricEncoding:
             raise ValueError(f"row entries must lie in 1..{s}")
         if self.kind in ("bicyclic", "semicyclic") and not isinstance(self.param, int):
             raise ValueError(f"{self.kind} encodings need an integer param")
-        if self.kind == "bicyclic":
-            expected = bicyclic_generator(s, k, self.param)
-            if self.fixed_rows:
-                raise ValueError("bicyclic encodings have no fixed rows")
-        elif self.kind == "semicyclic":
-            expected = semicyclic_generator(s, k, self.param)
+        expected = _kind_generator(self.kind, s, k, self.param)
+        if self.kind == "semicyclic":
             a = self.param
             if any(max(r) >= a for r in self.fixed_rows):
                 raise ValueError(f"fixed rows must take entries in 1..{a - 1}")
@@ -267,12 +287,8 @@ class SymmetricEncoding:
                 raise ValueError(
                     f"core rows entirely within 1..{a - 1} belong in fixed_rows"
                 )
-        elif self.kind == "klein":
-            expected = klein_generator(s, k)
-            if self.fixed_rows:
-                raise ValueError("klein encodings have no fixed rows")
-        else:
-            raise ValueError(f"unknown encoding kind {self.kind!r}")
+        elif self.fixed_rows:
+            raise ValueError(f"{self.kind} encodings have no fixed rows")
         if self.generator != expected:
             raise ValueError(f"generator does not match the {self.kind} convention")
         if not rows:
@@ -280,38 +296,32 @@ class SymmetricEncoding:
 
     @property
     def orbit_size(self) -> int:
-        if self.kind == "bicyclic":
-            return self.n_levels
-        if self.kind == "semicyclic":
-            return self.n_levels - self.param + 1
-        return 2
+        return len(_powers(self.generator)[0])
 
     @property
     def expanded_runs(self) -> int:
-        if self.kind == "klein":
-            g = self.generator
-            return sum(1 if _act_row(g, r) == r else 2 for r in self.core)
-        return len(self.fixed_rows) + self.orbit_size * len(self.core)
+        return expand(self).n_runs
 
 
 def expand(e: SymmetricEncoding, s: int | None = None, k: int | None = None) -> Array:
     """Rebuild the full array: fixed rows once, then each core row's orbit.
 
-    Klein core rows that the generator fixes are emitted once (deduplicated);
-    everything else contributes its full orbit.  The stated generator is an
-    automorphism of the result.
+    Rows come orbit-major (a core row r, then g(r), g^2(r), ..., then the
+    next core row).  Klein core rows that the generator fixes are emitted
+    once (deduplicated); everything else contributes its full orbit.  The
+    stated generator is an automorphism of the result.
     """
     if s is not None and s != e.n_levels:
         raise ValueError("s does not match the encoding")
     if k is not None and k != e.n_factors:
         raise ValueError("k does not match the encoding")
-    rows: list[tuple[int, ...]] = list(e.fixed_rows)
-    for row in e.core:
-        orbit = _orbit(e.generator, row, e.orbit_size)
-        if e.kind == "klein" and orbit[1] == orbit[0]:
-            orbit = orbit[:1]
-        rows.extend(orbit)
-    return Array.from_rows(rows, e.n_levels)
+    core = np.array(e.core, dtype=np.int64).reshape(-1, e.n_factors)
+    orbits = _orbit_gather(_powers(e.generator), core).swapaxes(0, 1)
+    keep = np.ones(orbits.shape[:2], dtype=bool)
+    if e.kind == "klein":
+        keep[:, 1] = (orbits[:, 1] != orbits[:, 0]).any(axis=1)
+    fixed = np.array(e.fixed_rows, dtype=np.int64).reshape(-1, e.n_factors)
+    return Array(np.concatenate([fixed, orbits[keep]]), e.n_levels)
 
 
 def compress(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding:
@@ -322,39 +332,28 @@ def compress(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding
     allows them).
     """
     s, k = a.n_levels, a.n_factors
-    if kind == "bicyclic":
-        if param is None:
-            param = _default_bicyclic_r(s, k)
-        g = bicyclic_generator(s, k, param)
-    elif kind == "semicyclic":
-        if param is None:
-            param = 2
-        g = semicyclic_generator(s, k, param)
-    elif kind == "klein":
-        g = klein_generator(s, k)
-    else:
-        raise ValueError(f"unknown encoding kind {kind!r}")
+    if param is None and kind == "bicyclic":
+        param = _default_bicyclic_r(s, k)
+    elif param is None and kind == "semicyclic":
+        param = 2
+    g = _kind_generator(kind, s, k, param)
     if not is_automorphism(g, a):
         raise ValueError(f"the {kind} generator is not an automorphism of the array")
 
-    counts: dict[tuple[int, ...], int] = {}
-    for row in a.cells.tolist():
-        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
-
+    counts = collections.Counter(map(tuple, a.cells.tolist()))
     fixed: list[tuple[int, ...]] = []
     if kind == "semicyclic":
         for row in sorted(r for r in counts if max(r) < param):
             fixed.extend([row] * counts.pop(row))
 
-    orbit_size = s if kind == "bicyclic" else (s - param + 1) if kind == "semicyclic" else 2
+    powers = _powers(g)
     core: list[tuple[int, ...]] = []
     while counts:
         rep = min(counts)
-        orbit = _orbit(g, rep, orbit_size)
-        if kind == "klein" and orbit[1] == orbit[0]:
-            orbit = orbit[:1]
-        elif len(set(orbit)) != orbit_size:
-            raise ValueError(f"orbit of {rep} has fewer than {orbit_size} distinct rows")
+        images = list(map(tuple, _orbit_gather(powers, np.array([rep]))[:, 0].tolist()))
+        orbit = list(dict.fromkeys(images))  # a Klein row the swap fixes is its own orbit
+        if kind != "klein" and len(orbit) != len(images):
+            raise ValueError(f"orbit of {rep} has fewer than {len(images)} distinct rows")
         multiplicity = min(counts.get(r, 0) for r in orbit)
         if multiplicity == 0:
             raise ValueError(f"rows do not split into full {kind} orbits")

@@ -7,7 +7,10 @@ the two is meaningful evidence of correctness.  The exceptions are
 bit-for-bit reference for the float arithmetic order, and the two per-state
 exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
 the library's earlier enumerations kept verbatim as the reference for the
-block-scored ones (value, state counts and witnesses in order).
+block-scored ones (value, state counts and witnesses in order), and the
+earlier orbit expansions (``EncoderLoop``, the search's block-major per-kind
+formulas, and ``expand_loop``/``compress_loop``, the per-row ``_orbit``
+loop of ``symmetry``), kept verbatim as the reference for the orbit gather.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ from aoakit.ipmodel import (
     canonical_head,
 )
 from aoakit.search import OracleResult
+from aoakit.symmetry import (
+    GroupElement,
+    SymmetricEncoding,
+    _default_bicyclic_r,
+    bicyclic_generator,
+    is_automorphism,
+    klein_generator,
+    semicyclic_generator,
+)
 
 
 def count_tuple_slow(a: Array, x, cols) -> int:
@@ -289,4 +301,166 @@ def brute_force_optimum_loop(
         tolerance_witnesses=tol_wit,
         tol_cap=tol_cap,
         states=states,
+    )
+
+
+# --- orbit expansion: the per-kind and per-row loops the gather replaced ----
+
+
+class EncoderLoop:
+    """The search's earlier per-kind expansion of searched cell matrices
+    (block-major), kept verbatim as the reference for the orbit gather."""
+
+    def __init__(self, kind: str, n_runs: int, k: int, s: int, r: int | None):
+        self.kind, self.n_runs, self.k, self.s = kind, n_runs, k, s
+        lam = n_runs // (s * s)
+        if kind == "plain":
+            self.core_shape = (n_runs, k)
+        elif kind == "bicyclic":
+            if n_runs % s:
+                raise ValueError("bicyclic encoding requires s | N")
+            if r is None:
+                r = _default_bicyclic_r(s, k)
+            if s % r or not 1 <= r <= k:
+                raise ValueError("bicyclic r must divide s and satisfy 1 <= r <= k")
+            self.r = r
+            self.core_shape = (n_runs // s, k)
+        elif kind == "quasicyclic":
+            if lam < 1 or n_runs != lam * s * s:
+                raise ValueError("quasicyclic encoding requires N = lambda * s^2")
+            if (n_runs - lam) % (s - 1):
+                raise ValueError("quasicyclic core size is not integral")
+            self.lam = lam
+            self.core_shape = ((n_runs - lam) // (s - 1), k)
+        else:
+            raise ValueError(f"unknown encoding {kind!r}")
+
+    def expand(self, cells: np.ndarray) -> np.ndarray:
+        s, k = self.s, self.k
+        if self.kind == "plain":
+            return cells
+        if self.kind == "bicyclic":
+            blocks = []
+            base = np.arange(k)
+            for t in range(s):
+                perm = base.copy()
+                perm[: self.r] = (np.arange(self.r) - t) % self.r
+                blocks.append((cells[:, perm] - 1 + t) % s + 1)
+            return np.vstack(blocks)
+        blocks = [np.ones((self.lam, k), dtype=np.int64)]
+        moving = cells - 2  # levels >= 2 shift cyclically; level 1 is fixed
+        for t in range(s - 1):
+            block = np.where(cells == 1, 1, (moving + t) % (s - 1) + 2)
+            blocks.append(block)
+        return np.vstack(blocks)
+
+
+def _act_row(g: GroupElement, row: tuple[int, ...]) -> tuple[int, ...]:
+    inv = g.inverse().col_perm
+    return tuple(g.level_perm[row[inv[j] - 1] - 1] for j in range(len(row)))
+
+
+def _orbit(g: GroupElement, row: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+    rows = [row]
+    for _ in range(size - 1):
+        rows.append(_act_row(g, rows[-1]))
+    return rows
+
+
+def orbit_size_loop(e: SymmetricEncoding) -> int:
+    """The earlier ``SymmetricEncoding.orbit_size``, kept verbatim."""
+    if e.kind == "bicyclic":
+        return e.n_levels
+    if e.kind == "semicyclic":
+        return e.n_levels - e.param + 1
+    return 2
+
+
+def expanded_runs_loop(e: SymmetricEncoding) -> int:
+    """The earlier ``SymmetricEncoding.expanded_runs``, kept verbatim."""
+    if e.kind == "klein":
+        g = e.generator
+        return sum(1 if _act_row(g, r) == r else 2 for r in e.core)
+    return len(e.fixed_rows) + orbit_size_loop(e) * len(e.core)
+
+
+def expand_loop(e: SymmetricEncoding, s: int | None = None, k: int | None = None) -> Array:
+    """The earlier per-row ``symmetry.expand``, kept verbatim.
+
+    Rebuild the full array: fixed rows once, then each core row's orbit.
+    Klein core rows that the generator fixes are emitted once (deduplicated);
+    everything else contributes its full orbit.  The stated generator is an
+    automorphism of the result.
+    """
+    if s is not None and s != e.n_levels:
+        raise ValueError("s does not match the encoding")
+    if k is not None and k != e.n_factors:
+        raise ValueError("k does not match the encoding")
+    rows: list[tuple[int, ...]] = list(e.fixed_rows)
+    for row in e.core:
+        orbit = _orbit(e.generator, row, orbit_size_loop(e))
+        if e.kind == "klein" and orbit[1] == orbit[0]:
+            orbit = orbit[:1]
+        rows.extend(orbit)
+    return Array.from_rows(rows, e.n_levels)
+
+
+def compress_loop(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding:
+    """The earlier per-row ``symmetry.compress``, kept verbatim.
+
+    Inverse of expand: partition the rows of ``a`` into generator orbits.
+    Raises if the generator is not an automorphism of ``a`` or if the row
+    multiset does not split into full orbits (plus fixed rows where the kind
+    allows them).
+    """
+    s, k = a.n_levels, a.n_factors
+    if kind == "bicyclic":
+        if param is None:
+            param = _default_bicyclic_r(s, k)
+        g = bicyclic_generator(s, k, param)
+    elif kind == "semicyclic":
+        if param is None:
+            param = 2
+        g = semicyclic_generator(s, k, param)
+    elif kind == "klein":
+        g = klein_generator(s, k)
+    else:
+        raise ValueError(f"unknown encoding kind {kind!r}")
+    if not is_automorphism(g, a):
+        raise ValueError(f"the {kind} generator is not an automorphism of the array")
+
+    counts: dict[tuple[int, ...], int] = {}
+    for row in a.cells.tolist():
+        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+
+    fixed: list[tuple[int, ...]] = []
+    if kind == "semicyclic":
+        for row in sorted(r for r in counts if max(r) < param):
+            fixed.extend([row] * counts.pop(row))
+
+    orbit_size = s if kind == "bicyclic" else (s - param + 1) if kind == "semicyclic" else 2
+    core: list[tuple[int, ...]] = []
+    while counts:
+        rep = min(counts)
+        orbit = _orbit(g, rep, orbit_size)
+        if kind == "klein" and orbit[1] == orbit[0]:
+            orbit = orbit[:1]
+        elif len(set(orbit)) != orbit_size:
+            raise ValueError(f"orbit of {rep} has fewer than {orbit_size} distinct rows")
+        multiplicity = min(counts.get(r, 0) for r in orbit)
+        if multiplicity == 0:
+            raise ValueError(f"rows do not split into full {kind} orbits")
+        core.extend([rep] * multiplicity)
+        for r in orbit:
+            counts[r] -= multiplicity
+            if not counts[r]:
+                del counts[r]
+    return SymmetricEncoding(
+        kind=kind,
+        n_levels=s,
+        n_factors=k,
+        generator=g,
+        core=tuple(sorted(core)),
+        fixed_rows=tuple(fixed),
+        param=None if kind == "klein" else param,
     )

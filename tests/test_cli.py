@@ -245,6 +245,33 @@ class TestSearch:
         )
         assert passes and [int(n) for n, _ in passes] == list(range(1, len(passes) + 1))
         assert all(int(examined) > 0 for _, examined in passes)
+        # every completed pass splits its moves into delta and full evaluations,
+        # and inserts at most one member (the scan restarts after an insertion)
+        plain = ["search", 8, 4, 2, "--seed", 3, "--restarts", 2]
+        quiet = run_child(*plain, "-o", tmp_path / "plain_quiet")
+        verbose_plain = run_child("--verbose", *plain, "-o", tmp_path / "plain_verbose")
+        assert verbose_plain.stdout == quiet.stdout
+        for name in ("front.csv", "front.json", "member_01.txt"):
+            assert (tmp_path / "plain_verbose" / name).read_bytes() == (
+                tmp_path / "plain_quiet" / name
+            ).read_bytes()
+        counts = {}
+        for encoding, stderr in (("bicyclic", verbose.stderr), ("plain", verbose_plain.stderr)):
+            counts[encoding] = [
+                tuple(map(int, row))
+                for row in re.findall(
+                    rb"pass \d+: examined (\d+) in .*, delta-evaluated (\d+), "
+                    rb"fully evaluated (\d+), inserted (\d+)\n",
+                    stderr,
+                )
+            ]
+            assert counts[encoding] and len(counts[encoding]) == stderr.count(b"examined")
+            for examined, delta, full, inserted in counts[encoding]:
+                assert delta + full == examined
+                assert inserted in (0, 1)
+            assert counts[encoding][-1][3] == 0  # a complete search ends on an unchanged pass
+        assert all(delta == 0 for _, delta, _, _ in counts["bicyclic"])
+        assert any(delta > 0 for _, delta, _, _ in counts["plain"])
 
     def test_same_seed_gives_identical_outputs(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -263,6 +290,71 @@ class TestSearch:
         code, _, err = run(capsys, "search", 10, 4, 3, "-o", tmp_path / "x")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((9, 3, 3, "--encoding", "plain", "--bicyclic-r", 7),
+         "bicyclic_r applies only to the bicyclic encoding"),
+        ((9, 4, 3, "--encoding", "quasicyclic", "--bicyclic-r", 1),
+         "bicyclic_r applies only to the bicyclic encoding"),
+        ((9, 5, 3, "--encoding", "bicyclic", "--bicyclic-r", 0),
+         "r must divide s and satisfy 1 <= r <= k"),
+        ((0, 3, 3), "N must be >= 1, got 0"),
+        ((9, 0, 3), "k must be >= 2, got 0"),
+        ((9, 1, 3), "k must be >= 2, got 1"),
+        ((9, 3, 0), "s must be >= 1, got 0"),
+    ], ids=["plain-r", "quasicyclic-r", "r-zero", "N-zero", "k-zero", "k-one", "s-zero"])
+    def test_bad_sizes_and_options_are_located_usage_errors(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "search", *argv, "-o", tmp_path / "x")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    # Captured from the implementation that expanded each encoding with its
+    # own per-kind formula; the rows of member files are in block-major order.
+    PINNED = {
+        ("9", "5", "3", "--encoding", "bicyclic", "--seed", "0"): {
+            "stdout": "front: unb=18 tol=1 file=member_01.txt\ncomplete = true\n",
+            "member_01.txt": (
+                "9 5 3\n3 2 3 1 3\n1 3 1 1 3\n3 3 2 2 3\n1 1 3 2 1\n2 2 1 2 1\n"
+                "3 1 1 3 1\n1 2 2 3 2\n2 3 3 3 2\n2 1 2 1 2\n"
+                "# unbalance: 18\n# tolerance: 1\n# seed: 0\n"
+            ),
+            "front.csv": "unbalance,tolerance,file\n18,1,member_01.txt\n",
+            "front.json": (
+                '{\n  "complete": true,\n  "config": {\n    "encoding": "bicyclic",\n'
+                '    "p": 2,\n    "restarts": 1,\n    "seed": 0\n  },\n  "front": [\n'
+                '    {\n      "file": "member_01.txt",\n      "tolerance": 1,\n'
+                '      "unbalance": 18\n    }\n  ],\n  "params": {\n    "N": 9,\n'
+                '    "k": 5,\n    "s": 3\n  }\n}\n'
+            ),
+        },
+        ("9", "4", "3", "--encoding", "quasicyclic", "--seed", "0"): {
+            "stdout": "front: unb=0 tol=0 file=member_01.txt\ncomplete = true\n",
+            "member_01.txt": (
+                "9 4 3\n1 1 1 1\n3 1 2 2\n1 2 3 2\n2 3 1 2\n3 3 3 1\n2 1 3 3\n"
+                "1 3 2 3\n3 2 1 3\n2 2 2 1\n# unbalance: 0\n# tolerance: 0\n# seed: 0\n"
+            ),
+            "front.csv": "unbalance,tolerance,file\n0,0,member_01.txt\n",
+            "front.json": (
+                '{\n  "complete": true,\n  "config": {\n    "encoding": "quasicyclic",\n'
+                '    "p": 2,\n    "restarts": 1,\n    "seed": 0\n  },\n  "front": [\n'
+                '    {\n      "file": "member_01.txt",\n      "tolerance": 0,\n'
+                '      "unbalance": 0\n    }\n  ],\n  "params": {\n    "N": 9,\n'
+                '    "k": 4,\n    "s": 3\n  }\n}\n'
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=["bicyclic", "quasicyclic"])
+    def test_encoded_search_outputs_are_pinned(self, capsys, tmp_path, argv):
+        want = self.PINNED[argv]
+        code, out, _ = run(capsys, "search", *argv, "-o", tmp_path)
+        assert code == 0
+        assert out == want["stdout"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(want) - {"stdout"})
+        for name in ("member_01.txt", "front.csv", "front.json"):
+            assert (tmp_path / name).read_bytes() == want[name].encode("ascii")
 
     def test_unknown_encoding_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(

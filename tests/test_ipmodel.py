@@ -1,3 +1,4 @@
+import hashlib
 import re
 import sys
 import tracemalloc
@@ -324,6 +325,28 @@ class TestSymmetryConstraints:
         model = add_symmetry(build_model(inst), inst)
         sims = [c for c in model.constraints if c.name.startswith("sim")]
         assert len(sims) == 78
+
+    # SHA-256 of the LP and MPS text, captured from the implementation that
+    # wrote the level cycle (m_bar..s) out by hand in two places
+    @pytest.mark.parametrize("kw, lp_sha, mps_sha", [
+        (dict(s=3, k=4, p=1, symmetry="semicyclic", m_bar=2),
+         "9244d2513ddeaffad980e21336aae459ecccdc41b97a28244b6ab1c5f0d604a2",
+         "3ac50d17d9a7f8190bb1121ce499dd4680a9bbf56e6334e3202b0fa987279402"),
+        (dict(s=4, k=4, p=2, symmetry="semicyclic", m_bar=2),
+         "b3b99e923f1f7e8f5b82885caaf273e8ca04f0a9bfbff2cef0bcf9562becd2b8",
+         "1762bf93d5293941999f8ded6163e32eb3d6620249cb15259b6f646fe2dd9925"),
+        (dict(s=4, k=5, p=1, symmetry="both", m_bar=3),
+         "d02bcec4386928081b328163987e17d06348b8eb8ec37933468a83a1901f37f5",
+         "c00767779c9192ca4c23be282e003e30e3715cf4ac9d9ffa821be739f3e4149e"),
+        (dict(s=5, k=3, p=1, symmetry="semicyclic", m_bar=1),
+         "cf6026ce8c985e6c7b4204e7748dfc74421b6a635af58d12e18a7491ce05290b",
+         "749b95bd179e3ed52ae9af8a9570de19cc96c4be6e2e53fc3b1e8d4645d9f8d0"),
+    ], ids=["s3-m2", "s4-m2-p2", "s4-both-m3", "s5-m1"])
+    def test_semicyclic_tie_text_is_pinned(self, kw, lp_sha, mps_sha):
+        inst = IpInstance(**kw)
+        model = add_symmetry(build_model(inst), inst)
+        assert hashlib.sha256(emit_lp(model).encode("ascii")).hexdigest() == lp_sha
+        assert hashlib.sha256(emit_mps(model).encode("ascii")).hexdigest() == mps_sha
 
     def test_m_bar_equal_s_means_no_ties(self):
         inst = IpInstance(s=3, k=4, symmetry="semicyclic", m_bar=3)

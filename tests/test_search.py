@@ -21,7 +21,7 @@ from aoakit.search import (
 )
 from aoakit.symmetry import bicyclic_generator, is_automorphism
 
-from oracles import brute_force_optimum_loop, min_unbalance_grid_4_4_2
+from oracles import EncoderLoop, brute_force_optimum_loop, min_unbalance_grid_4_4_2
 
 
 def member(unb, tol) -> FrontMember:
@@ -70,6 +70,25 @@ class TestConfigValidation:
             SearchConfig(encoding="spiral")
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+
+    @pytest.mark.parametrize("encoding", ["plain", "quasicyclic"])
+    def test_bicyclic_r_needs_the_bicyclic_encoding(self, encoding):
+        with pytest.raises(ValueError, match="bicyclic_r applies only to the bicyclic encoding"):
+            SearchConfig(encoding=encoding, bicyclic_r=3)
+        assert SearchConfig(encoding="bicyclic", bicyclic_r=3).bicyclic_r == 3
+
+    @pytest.mark.parametrize("n, k, s, message", [
+        (0, 3, 3, "N must be >= 1, got 0"),
+        (-9, 3, 3, "N must be >= 1, got -9"),
+        (9, 0, 3, "k must be >= 2, got 0"),
+        (9, 1, 3, "k must be >= 2, got 1"),
+        (9, 3, 0, "s must be >= 1, got 0"),
+        (9, 3, -3, "s must be >= 1, got -3"),
+    ], ids=["N-zero", "N-negative", "k-zero", "k-one", "s-zero", "s-negative"])
+    def test_sizes_are_checked_before_any_work(self, n, k, s, message, monkeypatch):
+        monkeypatch.setattr(search, "_Encoder", None)  # any work would fail differently
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            local_pareto_search(n, k, s, SearchConfig())
 
     def test_radius_cap_at_scan_time(self):
         front = ParetoFront()
@@ -217,6 +236,33 @@ class TestEncodings:
         cfg = SearchConfig(p=2, seed=0, encoding="bicyclic", bicyclic_r=1)
         front = local_pareto_search(4, 3, 2, cfg)
         assert front.members
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_expansion_equals_per_kind_formulas(self, data):
+        s = data.draw(st.integers(2, 6))
+        lam = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(2, 6))
+        kind = data.draw(st.sampled_from(["plain", "bicyclic", "quasicyclic"]))
+        r = None
+        if kind == "bicyclic":
+            divisors = [d for d in range(1, s + 1) if s % d == 0 and d <= k]
+            r = data.draw(st.sampled_from([None, *divisors]))
+        n_runs = lam * s * s
+        enc = search._Encoder(kind, n_runs, k, s, r)
+        want = EncoderLoop(kind, n_runs, k, s, r)
+        assert enc.core_shape == want.core_shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(3):
+            cells = enc.random_cells(rng)
+            got = enc.to_array(cells).cells
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.expand(cells))
+
+    def test_bad_bicyclic_r_is_rejected_by_the_generator(self):
+        for r in (0, 2, 4, -3):
+            with pytest.raises(ValueError, match=r"r must divide s and satisfy 1 <= r <= k"):
+                local_pareto_search(9, 3, 3, SearchConfig(encoding="bicyclic", bicyclic_r=r))
 
 
 class TestBruteForce:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoakit.arrays import Array, tolerance, unbalance
@@ -24,6 +26,7 @@ from aoakit.symmetry import (
 )
 
 from conftest import random_array
+from oracles import compress_loop, expand_loop, expanded_runs_loop, orbit_size_loop
 
 
 # Worked 6-run bicyclic example: two orbits under (1,2,3)|(1,2,3).
@@ -359,11 +362,104 @@ class TestDefaultBicyclicR:
     @pytest.mark.parametrize("s, k, r", [(3, 5, 3), (4, 3, 2), (6, 4, 3), (9, 5, 3), (5, 2, 1)])
     def test_every_site_uses_the_largest_divisor(self, s, k, r):
         from aoakit.search import _Encoder
-        from aoakit.symmetry import _default_bicyclic_r
+        from aoakit.symmetry import _default_bicyclic_r, _powers
 
         assert _default_bicyclic_r(s, k) == r
         assert bicyclic_generator(s, k) == bicyclic_generator(s, k, r)
         enc = _Encoder("bicyclic", s * s, k, s, None)
-        assert enc.r == r
+        for got, want in zip(enc.powers, _powers(bicyclic_generator(s, k, r))):
+            assert np.array_equal(got, want)
         a = enc.to_array(enc.random_cells(np.random.default_rng(s * k)))
         assert compress(a, "bicyclic").param == r
+
+
+@st.composite
+def encodings(draw):
+    """Random bicyclic (every valid r), semicyclic and Klein encodings.
+
+    Klein cores include rows that the swap (1,2)(3,4) fixes; semicyclic
+    encodings may have fixed rows and an empty core.
+    """
+    kind = draw(st.sampled_from(["bicyclic", "semicyclic", "klein"]))
+    if kind == "bicyclic":
+        s, k = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+        param = draw(st.sampled_from([r for r in range(1, s + 1) if s % r == 0 and r <= k]))
+        gen = bicyclic_generator(s, k, param)
+    elif kind == "semicyclic":
+        s, k = draw(st.integers(3, 6)), draw(st.integers(1, 5))
+        param = draw(st.integers(2, s - 1))
+        gen = semicyclic_generator(s, k, param)
+    else:
+        s, k, param = draw(st.integers(2, 4)), draw(st.integers(4, 6)), None
+        gen = klein_generator(s, k)
+    row = st.lists(st.integers(1, s), min_size=k, max_size=k).map(tuple)
+    core = draw(st.lists(row, max_size=4))
+    fixed = []
+    if kind == "klein":
+        swap_fixed = draw(st.lists(st.booleans(), min_size=len(core), max_size=len(core)))
+        core = [(r[0], r[0], r[2], r[2]) + r[4:] if f else r for r, f in zip(core, swap_fixed)]
+    if kind == "semicyclic":
+        core = [r if max(r) >= param else r[:-1] + (s,) for r in core]
+        low = st.lists(st.integers(1, param - 1), min_size=k, max_size=k).map(tuple)
+        fixed = draw(st.lists(low, max_size=3))
+    assume(core or fixed)
+    return SymmetricEncoding(
+        kind=kind,
+        n_levels=s,
+        n_factors=k,
+        generator=gen,
+        core=tuple(core),
+        fixed_rows=tuple(fixed),
+        param=param,
+    )
+
+
+class TestOrbitGather:
+    """expand, compress and the orbit counts equal the per-row loops they replaced."""
+
+    @staticmethod
+    def _assert_same_compress(a, kind, param):
+        try:
+            want = compress_loop(a, kind, param)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                compress(a, kind, param)
+            return
+        got = compress(a, kind, param)
+        assert got == want
+        assert np.array_equal(expand(got).cells, expand_loop(want).cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(encodings(), st.randoms(use_true_random=False))
+    def test_equal_to_per_row_loop(self, e, random):
+        full = expand(e)
+        assert np.array_equal(full.cells, expand_loop(e).cells)
+        assert full.cells.dtype == np.int64
+        assert e.orbit_size == orbit_size_loop(e)
+        assert e.expanded_runs == expanded_runs_loop(e) == full.n_runs
+        rows = full.cells.tolist()
+        random.shuffle(rows)
+        for cells in (full.cells, np.array(rows)):
+            self._assert_same_compress(Array(cells, e.n_levels), e.kind, e.param)
+
+    @settings(max_examples=100, deadline=None)
+    @given(encodings(), st.integers(0, 2**32 - 1))
+    def test_compress_rejects_like_per_row_loop(self, e, seed):
+        # one changed cell: most such arrays are no longer automorphic or
+        # no longer split into full orbits
+        cells = expand(e).cells.copy()
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(cells.shape[0]), rng.integers(cells.shape[1])
+        cells[i, j] = cells[i, j] % e.n_levels + 1
+        self._assert_same_compress(Array(cells, e.n_levels), e.kind, e.param)
+
+    def test_powers_of_the_generators(self):
+        from aoakit.symmetry import _powers
+
+        levels, sources = _powers(bicyclic_generator(3, 4, 3))
+        assert levels.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+        assert sources.tolist() == [[0, 1, 2, 3], [2, 0, 1, 3], [1, 2, 0, 3]]
+        levels, sources = _powers(klein_generator(2, 5))
+        assert levels.tolist() == [[0, 1, 2], [0, 1, 2]]
+        assert sources.tolist() == [[0, 1, 2, 3, 4], [1, 0, 3, 2, 4]]
+        assert len(_powers(identity_element(4, 3))[0]) == 1
