@@ -71,7 +71,7 @@ class Array:
     n_levels: int
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.array(self.cells, dtype=np.int64)  # a copy: the caller's array stays writable
         if cells.ndim != 2 or cells.size == 0:
             raise ValueError("cells must be a non-empty 2-D matrix")
         if self.n_levels < 1:

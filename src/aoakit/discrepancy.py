@@ -66,7 +66,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writable
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError("points must form a non-empty 2-D matrix")
         if not np.isfinite(pts).all():

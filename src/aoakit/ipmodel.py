@@ -192,6 +192,10 @@ class Constraint:
     rhs: int
 
 
+_NAME = re.compile(r"[A-Za-z]\w*")
+"""The shape of a variable name (matched whole) that LP and MPS text can carry."""
+
+
 @dataclass
 class IpModel:
     """Minimization model: linear and diagonal-quadratic objective parts."""
@@ -209,7 +213,7 @@ class IpModel:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         declared = set(names)
-        if not all(re.fullmatch(r"[A-Za-z]\w*", n) for n in declared):
+        if not all(map(_NAME.fullmatch, declared)):
             raise ValueError("variable names must be word-shaped")
         used = {n for _, n in self.linear_objective}
         used |= {n for _, n in self.quadratic_objective}
@@ -382,21 +386,12 @@ def build_model(inst: IpInstance) -> IpModel:
     return model
 
 
-def _semicyclic_row_map(inst: IpInstance, g: tuple[int, ...]) -> list[int]:
-    """sigma[i-1] = image row of i under the prefix map (u,v) -> (g(u), g(v))."""
+def _prefix_row_map(inst: IpInstance, image) -> list[int]:
+    """sigma[i-1] = image row of i under the prefix map (u,v) -> image(u, v)."""
     out = []
     for i in range(1, inst.n_runs + 1):
         copy, u, v = _prefix_of_row(inst.s, i)
-        out.append(_row_of_prefix(inst.s, copy, g[u - 1], g[v - 1]))
-    return out
-
-
-def _klein_row_map(inst: IpInstance) -> list[int]:
-    """sigma0[i-1] = image row of i under the prefix swap (u,v) -> (v,u)."""
-    out = []
-    for i in range(1, inst.n_runs + 1):
-        copy, u, v = _prefix_of_row(inst.s, i)
-        out.append(_row_of_prefix(inst.s, copy, v, u))
+        out.append(_row_of_prefix(inst.s, copy, *image(u, v)))
     return out
 
 
@@ -409,7 +404,7 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     if inst.symmetry in ("semicyclic", "both") and inst.m_bar < s:
         m_bar = inst.m_bar
         g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
-        sigma = _semicyclic_row_map(inst, g)
+        sigma = _prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))
         for i in range(1, inst.n_runs + 1):
             for j in inst.free_columns:
                 for m in range(1, s + 1):
@@ -419,7 +414,7 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
                         continue
                     add(Constraint(f"{fam}_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))
     if inst.symmetry in ("klein", "both"):
-        sigma0 = _klein_row_map(inst)
+        sigma0 = _prefix_row_map(inst, lambda u, v: (v, u))  # the prefix swap
         for i in range(1, inst.n_runs + 1):
             for m in range(1, s + 1):
                 add(

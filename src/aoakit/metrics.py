@@ -48,7 +48,7 @@ class LevelContrast:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         if values.ndim != 1 or values.size < 2:
             raise ValueError("a contrast needs at least two levels")
         if abs(values.sum()) > 1e-12 * max(1.0, np.abs(values).max()):

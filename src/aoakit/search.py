@@ -11,14 +11,16 @@ Pareto front of radius r.
 
 Compressed encodings (``bicyclic``: run orbits under ((1..s)|(1..r));
 ``quasicyclic``: all-ones fixed rows plus orbits under ((2..s)|id)) search
-over core cells only.  Every evaluation expands them by one gather over the
+over core cells only.  A member is expanded by one gather over the
 generator's powers (``symmetry._orbit_gather``), block-major: the fixed
 rows, then g^0 of every core row, then g^1 of every core row, and so on.
+Every move is scored by the member's pair-count tables (``_PairTables``)
+over the expanded cells it sets; only an undominated move is expanded.
 
 A ``time_budget`` is checked before every move a scan visits, so a search
 stops within one evaluation of running out and reports ``complete`` False.
-With ``--verbose`` every pass logs the moves it examined, how many of them
-were delta-evaluated and fully evaluated, its insertions and its time.
+With ``--verbose`` every pass logs the moves it examined, the front size,
+the best objectives, its insertions and its time.
 
 ``brute_force_optimum`` is an exhaustive oracle for tiny instances: it pins
 the first two columns to the lexicographic lambda-fold full factorial and
@@ -80,8 +82,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CROSS_CHECK_DELTA = False
-"""When true, every delta-evaluated objective is re-verified by full
-recomputation (enabled by the test suite)."""
+"""When true, the objectives of every scored move are re-verified by full
+recomputation before the dominance test (enabled by the test suite)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -180,6 +182,14 @@ class _Encoder:
         self.powers = _powers(g)
         self.fixed = np.ones((n_fixed, k), dtype=np.int64)
         self.core_shape = ((n_runs - n_fixed) // len(self.powers[0]), k)
+        # expanded cell (offset_t + i, j) is core cell (i, sources[t, j]) under
+        # levels[t], so per power t core column c drives the one j sourced from c
+        levels, sources = (table.tolist() for table in self.powers)
+        offsets = [n_fixed + t * self.core_shape[0] for t in range(len(levels))]
+        self.drives = [
+            [(lv, offset, row.index(c)) for lv, offset, row in zip(levels, offsets, sources)]
+            for c in range(k)
+        ]
 
     def random_cells(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "quasicyclic":
@@ -194,9 +204,17 @@ class _Encoder:
         orbits = _orbit_gather(self.powers, cells).reshape(-1, cells.shape[1])
         return Array(np.concatenate([self.fixed, orbits]), self.s)
 
+    def driven(self, move) -> list[tuple[int, int, int]]:
+        """0-based (row, column, level) of every expanded cell a move of core cells sets."""
+        return [
+            (offset + i, j, level_map[level] - 1)
+            for (i, c), level in move
+            for level_map, offset, j in self.drives[c]
+        ]
+
 
 class _PairTables:
-    """Per-column-pair level-pair counts enabling O(k) single-change deltas."""
+    """Per-column-pair level-pair counts giving exact objectives after a batch of changes."""
 
     def __init__(self, array: Array, p: int):
         self.s, self.p = array.n_levels, p
@@ -204,44 +222,37 @@ class _PairTables:
         self.levels = (array.cells - 1).tolist()
         table = _count_table(array, 2)
         dev = np.abs(table - lam)
-        pair_max = dev.max(axis=1)
         self.counts = table.tolist()
         self.unb = int((dev**p).sum())
-        self.tol = int(pair_max.max())
-        # per column j: (other column, table row) of every pair holding j, and
-        # the largest deviation among the pairs that a change in j leaves alone
-        k = array.n_factors
-        rows = _pair_rows(k).tolist()
-        self.partners = [[(c, rows[j][c]) for c in range(k) if c != j] for j in range(k)]
-        first, second = np.triu_indices(k, 1)
-        held = (np.arange(k)[:, None] == first) | (np.arange(k)[:, None] == second)
-        self.max_without = np.where(held, 0, pair_max).max(axis=1, initial=0).tolist()
+        self.row_dev = dev.max(axis=1).tolist()
+        # rows by falling deviation: the first a batch leaves alone is the untouched maximum
+        self.by_dev = sorted(range(len(self.row_dev)), key=self.row_dev.__getitem__, reverse=True)
+        self.pair_rows = _pair_rows(array.n_factors).tolist()
 
-    def objective(self) -> ObjectiveVector:
-        return ObjectiveVector(self.unb, self.tol)
-
-    def change(self, i: int, j: int, value: int) -> ObjectiveVector:
-        """Objectives after setting cell (i, j) to value, without mutating."""
+    def change(self, cells) -> ObjectiveVector:
+        """Objectives after setting every 0-based (row, column, level) of
+        ``cells`` in turn, without mutating the tables."""
         s, lam, p = self.s, self.lam, self.p
-        row = self.levels[i]
-        old, new = row[j], value - 1
-        unb, tol = self.unb, self.max_without[j]
-        for c, r in self.partners[j]:
-            if c > j:
-                code_old, code_new = old * s + row[c], new * s + row[c]
-            else:
-                code_old, code_new = row[c] * s + old, row[c] * s + new
-            cnt = self.counts[r]
-            a_old, a_new = cnt[code_old], cnt[code_new]
-            unb += (
-                abs(a_old - 1 - lam) ** p
-                - abs(a_old - lam) ** p
-                + abs(a_new + 1 - lam) ** p
-                - abs(a_new - lam) ** p
-            )
-            dev = [abs(x - lam) for x in cnt]
-            dev[code_old], dev[code_new] = abs(a_old - 1 - lam), abs(a_new + 1 - lam)
-            tol = max(tol, max(dev))
+        rows: dict[int, list[int]] = {}  # touched array rows, as set so far
+        delta: dict[int, dict[int, int]] = {}  # table row -> code -> count change
+        for i, j, level in cells:
+            row = rows.setdefault(i, self.levels[i].copy())
+            old, row[j] = row[j], level
+            for c, r in enumerate(self.pair_rows[j]):
+                if c != j and old != level:
+                    codes = delta.setdefault(r, {})
+                    for lv, d in ((old, -1), (level, 1)):
+                        code = lv * s + row[c] if j < c else row[c] * s + lv
+                        codes[code] = codes.get(code, 0) + d
+        unb = self.unb
+        tol = next((self.row_dev[r] for r in self.by_dev if r not in delta), 0)
+        for r, codes in delta.items():
+            counts = self.counts[r].copy()
+            for code, d in codes.items():
+                unb += abs(counts[code] + d - lam) ** p - abs(counts[code] - lam) ** p
+                counts[code] += d
+            # |count - lam| is convex: the row's extremes hold its largest deviation
+            tol = max(tol, max(counts) - lam, lam - min(counts))
         return ObjectiveVector(unb, tol)
 
 
@@ -249,6 +260,13 @@ def _evaluate(enc: _Encoder, cells: np.ndarray, p: int) -> FrontMember:
     arr = enc.to_array(cells)
     obj = ObjectiveVector(unbalance(arr, 2, p), tolerance(arr, 2))
     return FrontMember(cells=cells.copy(), array=arr, objective=obj)
+
+
+def _moved(cells: np.ndarray, move) -> np.ndarray:
+    out = cells.copy()
+    for pos, level in move:
+        out[pos] = level
+    return out
 
 
 class _OutOfTime(Exception):
@@ -266,9 +284,10 @@ class ScanReport:
 def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
     """Visit every radius-r neighbor of every member in the fixed scan order.
 
-    ``visitor(member_index, candidate_cells)`` returns True when the
-    candidate was inserted into the front; the scan then stops so the caller
-    can restart it against the updated front.
+    ``visitor(member_index, move)`` gets the neighbor as a tuple of
+    ``((row, column), level)`` pairs, each setting a 0-based cell of the
+    member's ``cells`` to a new level, and returns True when it inserted the
+    neighbor; the scan then stops so the caller can restart it.
     """
     if radius > 2:
         raise ValueError("radius > 2 is not supported (search need not terminate)")
@@ -276,8 +295,8 @@ def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
     snapshot = list(front.members)
     for stage in (1, 2) if radius >= 2 else (1,):
         for idx, member in enumerate(snapshot):
-            cells = member.cells
-            rows, cols = cells.shape
+            current = member.cells.tolist()
+            rows, cols = member.cells.shape
             s = member.array.n_levels
             flat = [(i, j) for i in range(rows) for j in range(cols)]
             if stage == 1:
@@ -290,13 +309,10 @@ def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
                     for l2 in range(1, s + 1)
                 )
             for move in moves:
-                if any(cells[pos] == lv for pos, lv in move):
+                if any(current[i][j] == lv for (i, j), lv in move):
                     continue
-                candidate = cells.copy()
-                for pos, lv in move:
-                    candidate[pos] = lv
                 examined += 1
-                if visitor(idx, candidate):
+                if visitor(idx, move):
                     return ScanReport(changed=True, examined=examined)
     return ScanReport(changed=False, examined=examined)
 
@@ -309,39 +325,25 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
     passes = 0
     tables: dict[int, _PairTables] = {}
-    tally = {"delta": 0, "full": 0}
 
-    def visitor(idx: int, candidate: np.ndarray) -> bool:
+    def visitor(idx: int, move) -> bool:
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
-        if cfg.encoding == "plain":
-            if idx not in tables:
-                tables[idx] = _PairTables(front.members[idx].array, cfg.p)
-            diff = np.argwhere(candidate != front.members[idx].cells)
-            if len(diff) == 1:
-                tally["delta"] += 1
-                i, j = map(int, diff[0])
-                obj = tables[idx].change(i, j, int(candidate[i, j]))
-                if CROSS_CHECK_DELTA:
-                    full = _evaluate(enc, candidate, cfg.p)
-                    assert full.objective == obj, "delta evaluation mismatch"
-                if any(
-                    m.objective.dominates_or_equals(obj) for m in front.members
-                ):
-                    return False
-                member = FrontMember(
-                    cells=candidate.copy(),
-                    array=enc.to_array(candidate),
-                    objective=obj,
-                )
-                return front_insert(front, member)
-        tally["full"] += 1
-        return front_insert(front, _evaluate(enc, candidate, cfg.p))
+        member = front.members[idx]
+        if idx not in tables:
+            tables[idx] = _PairTables(member.array, cfg.p)
+        obj = tables[idx].change(enc.driven(move))
+        if CROSS_CHECK_DELTA:
+            full = _evaluate(enc, _moved(member.cells, move), cfg.p)
+            assert full.objective == obj, "delta evaluation mismatch"
+        if any(m.objective.dominates_or_equals(obj) for m in front.members):
+            return False
+        cells = _moved(member.cells, move)
+        return front_insert(front, FrontMember(cells, enc.to_array(cells), obj))
 
     while True:
         began = time.perf_counter()
         passes += 1
-        tally.update(delta=0, full=0)
         try:
             report = neighborhood_scan(front, cfg.radius, visitor)
         except _OutOfTime:
@@ -354,15 +356,12 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
             break
         tables.clear()
         logger.info(
-            "pass %d: examined %d in %.3f s, front size %d, best %s, "
-            "delta-evaluated %d, fully evaluated %d, inserted %d",
+            "pass %d: examined %d in %.3f s, front size %d, best %s, inserted %d",
             passes,
             report.examined,
             time.perf_counter() - began,
             len(front.members),
             min(front.objectives()),
-            tally["delta"],
-            tally["full"],
             report.changed,  # a scan stops at its first insertion
         )
         if not report.changed:

@@ -293,6 +293,13 @@ class SymmetricEncoding:
             raise ValueError(f"generator does not match the {self.kind} convention")
         if not rows:
             raise ValueError("encoding must contain at least one row")
+        if self.kind != "klein" and self.core:  # Klein keeps a swap-fixed row once
+            orbits = _orbit_gather(_powers(self.generator), np.array(self.core, dtype=np.int64))
+            for row, orbit in zip(self.core, orbits.swapaxes(0, 1)):
+                if len(np.unique(orbit, axis=0)) < len(orbit):
+                    raise ValueError(
+                        f"orbit of core row {row} has fewer than {len(orbit)} distinct rows"
+                    )
 
     @property
     def orbit_size(self) -> int:

@@ -74,6 +74,12 @@ class TestArrayBasics:
         with pytest.raises(ValueError):
             oa_4_3_2.cells[0, 0] = 2
 
+    def test_callers_array_stays_writable(self):
+        cells = np.array([[1, 2], [2, 1]])
+        a = Array(cells, 2)
+        cells[0, 0] = 2
+        assert a.cells.tolist() == [[1, 2], [2, 1]]
+
     def test_from_rows_equals_constructor(self, oa_4_3_2):
         again = Array.from_rows([tuple(r) for r in oa_4_3_2.cells], 2)
         assert again == oa_4_3_2

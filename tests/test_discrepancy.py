@@ -105,6 +105,12 @@ class TestPointSet:
         with pytest.raises(ValueError):
             ps.points[0, 0] = 0.5
 
+    def test_callers_array_stays_writable(self):
+        points = np.array([[0.25, 0.75]])
+        ps = PointSet(points)
+        points[0, 0] = 0.5
+        assert ps.points.tolist() == [[0.25, 0.75]]
+
 
 class TestKernelIntegrals:
     """The closed-form 1-D integrals must match numerical quadrature."""

@@ -190,6 +190,7 @@ class TestEncodingFormat:
             ("bicyclic a 4 3\n(1)|(1)\n1 1 1 1\n", 1, "integers"),
             ("bicyclic 3 4 3\nnot-a-generator\n1 1 1 1\n", 2, ""),
             ("bicyclic 3 4 3\n(1,2,3)|(1,2,3)\n1 1 1\n", 3, "expected 4 values"),
+            ("bicyclic 2 2 2\n(1,2)|(1,2)\n1 1\n1 2\n", 1, "orbit of core row (1, 2) has fewer"),
         ],
     )
     def test_parse_errors(self, text, line, fragment):

@@ -47,6 +47,14 @@ class TestContrast:
         with pytest.raises(ValueError):
             LevelContrast((1.0,))
 
+    def test_values_are_write_locked_and_the_callers_array_stays_writable(self):
+        values = np.array([-1.0, 0.0, 1.0])
+        f = LevelContrast(values)
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        values[0] = 2.0
+        assert f.values.tolist() == [-1.0, 0.0, 1.0]
+
     def test_apply_matches_call(self, t0):
         f = default_contrast(2)
         applied = f.apply(t0.cells)

@@ -107,14 +107,32 @@ class TestNeighborhoodScan:
             FrontMember(cells=cells, array=arr, objective=ObjectiveVector(0, 0)),
         )
         seen = []
-        neighborhood_scan(front, 2, lambda i, c: seen.append(c.copy()) and False)
+        neighborhood_scan(front, 2, lambda i, move: seen.append((i, move)) and False)
         # Two cells with one alternative each: 2 singles, then 1 pair move
-        # (both flipped), in deterministic order.
-        assert [c.tolist() for c in seen] == [
-            [[2, 1]],
-            [[1, 2]],
-            [[2, 2]],
+        # (both flipped), in deterministic order; the member's cells stay as they were.
+        assert seen == [
+            (0, (((0, 0), 2),)),
+            (0, (((0, 1), 2),)),
+            (0, (((0, 0), 2), ((0, 1), 2))),
         ]
+        assert front.members[0].cells is cells and cells.tolist() == [[1, 1]]
+
+    def test_moves_skip_current_levels_in_scan_order(self):
+        cells = np.array([[1, 3], [2, 2]], dtype=np.int64)
+        front = ParetoFront()
+        front_insert(front, FrontMember(cells, Array(cells, 3), ObjectiveVector(0, 0)))
+        seen = []
+        neighborhood_scan(front, 2, lambda i, move: seen.append(move) and False)
+        flat = [(i, j) for i in range(2) for j in range(2)]
+        singles = [((pos, lv),) for pos in flat for lv in (1, 2, 3) if cells[pos] != lv]
+        pairs = [
+            ((p1, l1), (p2, l2))
+            for p1, p2 in itertools.combinations(flat, 2)
+            for l1 in (1, 2, 3)
+            for l2 in (1, 2, 3)
+            if cells[p1] != l1 and cells[p2] != l2
+        ]
+        assert seen == singles + pairs
 
     def test_stops_on_first_insertion(self):
         cells = np.array([[1, 1]], dtype=np.int64)
@@ -139,6 +157,11 @@ class TestNeighborhoodScan:
         assert report.examined == 2
 
 
+def full_objective(cells: np.ndarray, s: int, p: int) -> ObjectiveVector:
+    a = Array(cells, s)
+    return ObjectiveVector(unbalance(a, 2, p), tolerance(a, 2))
+
+
 class TestDeltaEvaluation:
     def test_change_matches_full_recount(self, rng):
         from conftest import random_array
@@ -147,20 +170,65 @@ class TestDeltaEvaluation:
             s = int(rng.integers(2, 5))
             a = random_array(rng, n_runs=s * s, n_factors=k, n_levels=s)
             tables = search._PairTables(a, p)
-            assert tables.objective() == ObjectiveVector(unbalance(a, 2, p), tolerance(a, 2))
+            assert tables.change(()) == full_objective(a.cells, s, p)
             for j in range(k):
                 i = int(rng.integers(0, a.n_runs))
                 value = int(a.cells[i, j]) % s + 1
-                got = tables.change(i, j, value)
+                got = tables.change([(i, j, value - 1)])
                 mutated = a.cells.copy()
                 mutated[i, j] = value
-                b = Array(mutated, s)
-                assert got == ObjectiveVector(unbalance(b, 2, p), tolerance(b, 2))
+                assert got == full_objective(mutated, s, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_batched_change_matches_full_recount(self, data):
+        s = data.draw(st.integers(2, 5))
+        lam = data.draw(st.integers(1, 2))
+        k = data.draw(st.integers(2, 7))
+        p = data.draw(st.sampled_from([1, 2]))
+        n = lam * s * s
+        level = st.integers(1, s)
+        cells = np.array(data.draw(st.lists(
+            st.lists(level, min_size=k, max_size=k), min_size=n, max_size=n)))
+        # rows from a few, so that one batch often sets several cells of a row
+        row = st.integers(0, n - 1) if data.draw(st.booleans()) else st.integers(0, 1)
+        positions = data.draw(st.lists(
+            st.tuples(row, st.integers(0, k - 1)), min_size=1, max_size=2 * s, unique=True))
+        batch = [(i, j, data.draw(level) - 1) for i, j in positions]
+        if data.draw(st.booleans()):  # one cell set to the level it already has
+            i, j = positions[0]
+            batch[0] = (i, j, int(cells[i, j]) - 1)
+        tables = search._PairTables(Array(cells, s), p)
+        mutated = cells.copy()
+        for i, j, lv in batch:
+            mutated[i, j] = lv + 1
+        assert tables.change(batch) == full_objective(mutated, s, p)
+        assert tables.change(()) == full_objective(cells, s, p)  # tables left as they were
 
     def test_search_with_cross_check_enabled(self, monkeypatch):
         monkeypatch.setattr(search, "CROSS_CHECK_DELTA", True)
-        front = local_pareto_search(4, 4, 2, SearchConfig(p=1, seed=3))
-        assert front.members
+        evaluate, scan, full, examined = search._evaluate, search.neighborhood_scan, [], []
+
+        def counted_evaluate(*args):
+            full.append(args)
+            return evaluate(*args)
+
+        def counted_scan(*args):
+            report = scan(*args)
+            examined.append(report.examined)
+            return report
+
+        monkeypatch.setattr(search, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(search, "neighborhood_scan", counted_scan)
+        shapes = {"plain": [(4, 4, 2)], "bicyclic": [(9, 4, 3)], "quasicyclic": [(9, 4, 3), (8, 3, 2)]}
+        for encoding, radius, p in itertools.product(shapes, (1, 2), (1, 2)):
+            for n, k, s in shapes[encoding]:
+                full.clear()
+                examined.clear()
+                cfg = SearchConfig(p=p, radius=radius, seed=3, encoding=encoding)
+                assert local_pareto_search(n, k, s, cfg).complete
+                # one full evaluation for the first member, then one per scored move
+                assert len(full) == 1 + sum(examined)
 
 
 class TestLocalSearch:
@@ -194,8 +262,8 @@ class TestLocalSearch:
             assert ma.array == mb.array
 
     def test_time_budget_is_checked_within_a_pass(self):
-        # Unbudgeted, this search reaches its last pass after about 0.2 s, and
-        # that pass alone scans for about 1.6 s (2-vCPU VM).
+        # Unbudgeted, this search reaches its last pass after about 0.1 s, and
+        # that pass alone scans for about 0.7 s (2-vCPU VM).
         cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=0.3)
         start = time.monotonic()
         front = local_pareto_search(25, 6, 5, cfg)
@@ -258,6 +326,35 @@ class TestEncodings:
             got = enc.to_array(cells).cells
             assert got.dtype == np.int64
             assert np.array_equal(got, want.expand(cells))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_driven_cells_of_a_move_equal_the_moved_expansion(self, data):
+        kind = data.draw(st.sampled_from(["plain", "bicyclic", "quasicyclic"]))
+        s = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(2, 6))
+        lam = data.draw(st.integers(1, 2))
+        r = None
+        if kind == "bicyclic":
+            divisors = [d for d in range(1, s + 1) if s % d == 0 and d <= k]
+            r = data.draw(st.sampled_from([None, *divisors]))
+        enc = search._Encoder(kind, lam * s * s, k, s, r)
+        cells = enc.random_cells(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        rows, cols = cells.shape
+        positions = data.draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            min_size=1, max_size=2, unique=True))
+        move = tuple((pos, data.draw(st.integers(1, s))) for pos in positions)
+        driven = enc.driven(move)
+        assert len(driven) == len(move) * len(enc.powers[0])
+        assert len({(i, j) for i, j, _ in driven}) == len(driven)
+        got = enc.to_array(cells).cells.copy()
+        for i, j, lv in driven:
+            got[i, j] = lv + 1
+        moved = cells.copy()
+        for pos, lv in move:
+            moved[pos] = lv
+        assert np.array_equal(got, enc.to_array(moved).cells)
 
     def test_bad_bicyclic_r_is_rejected_by_the_generator(self):
         for r in (0, 2, 4, -3):

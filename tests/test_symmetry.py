@@ -26,7 +26,7 @@ from aoakit.symmetry import (
 )
 
 from conftest import random_array
-from oracles import compress_loop, expand_loop, expanded_runs_loop, orbit_size_loop
+from oracles import _orbit, compress_loop, expand_loop, expanded_runs_loop, orbit_size_loop
 
 
 # Worked 6-run bicyclic example: two orbits under (1,2,3)|(1,2,3).
@@ -255,6 +255,21 @@ class TestEncodingValidation:
                 param=3,
             )
 
+    @pytest.mark.parametrize("s, k, r, row", [(2, 2, 2, (1, 2)), (4, 4, 4, (1, 1, 3, 3))])
+    def test_bicyclic_rejects_core_rows_with_a_short_orbit(self, s, k, r, row):
+        # g^t fixes the row for some 0 < t < s, so its expansion repeats rows
+        # that compress cannot take back
+        good = (1,) * k
+        with pytest.raises(ValueError, match=re.escape(f"orbit of core row {row} has fewer than {s}")):
+            SymmetricEncoding(
+                kind="bicyclic",
+                n_levels=s,
+                n_factors=k,
+                generator=bicyclic_generator(s, k, r),
+                core=(good, row),
+                param=r,
+            )
+
     def test_semicyclic_row_partition_rules(self):
         g = semicyclic_generator(3, 5, 2)
         # A fixed row may not touch the cycled levels.
@@ -378,7 +393,9 @@ def encodings(draw):
     """Random bicyclic (every valid r), semicyclic and Klein encodings.
 
     Klein cores include rows that the swap (1,2)(3,4) fixes; semicyclic
-    encodings may have fixed rows and an empty core.
+    encodings may have fixed rows and an empty core.  Bicyclic core rows that
+    a power of the generator fixes are dropped, because the encoding rejects
+    them.
     """
     kind = draw(st.sampled_from(["bicyclic", "semicyclic", "klein"]))
     if kind == "bicyclic":
@@ -398,6 +415,8 @@ def encodings(draw):
     if kind == "klein":
         swap_fixed = draw(st.lists(st.booleans(), min_size=len(core), max_size=len(core)))
         core = [(r[0], r[0], r[2], r[2]) + r[4:] if f else r for r, f in zip(core, swap_fixed)]
+    if kind == "bicyclic":
+        core = [r for r in core if len(set(_orbit(gen, r, s))) == s]
     if kind == "semicyclic":
         core = [r if max(r) >= param else r[:-1] + (s,) for r in core]
         low = st.lists(st.integers(1, param - 1), min_size=k, max_size=k).map(tuple)
