@@ -208,6 +208,11 @@ class DdParams:
         )
 
 
+def _reduced(value: Fraction | float) -> Exact | float:
+    """An integral Fraction as an int; anything else unchanged."""
+    return int(value) if isinstance(value, Fraction) and value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class DdResult:
     """Squared discrete discrepancy by both formulas, plus the root."""
@@ -232,10 +237,8 @@ def dd(a: Array, params: DdParams) -> DdResult:
     Exact rational arithmetic whenever both parameters are rational.
     """
     n, k, s = a.n_runs, a.n_factors, a.n_levels
-    if params.exact:
-        pa, pb = Fraction(params.a), Fraction(params.b)
-    else:
-        pa, pb = float(params.a), float(params.b)
+    num = Fraction if params.exact else float  # one arithmetic for every formula
+    pa, pb = num(params.a), num(params.b)
 
     h = hamming_similarity(a)
     counts = np.bincount(h.ravel(), minlength=k + 1)
@@ -244,16 +247,9 @@ def dd(a: Array, params: DdParams) -> DdResult:
     sq_h = -(((pa - pb) / s + pb) ** k) + pb**k * profile / n**2
 
     sq_u = sum(
-        Fraction(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t)
-        if params.exact
-        else float(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t)
-        for t in range(1, k + 1)
+        num(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t) for t in range(1, k + 1)
     ) / n**2
-
-    if params.exact:
-        sq_h = int(sq_h) if sq_h.denominator == 1 else sq_h
-        sq_u = int(sq_u) if sq_u.denominator == 1 else sq_u
-    return DdResult(params=params, sq_hamming=sq_h, sq_unbalance=sq_u)
+    return DdResult(params=params, sq_hamming=_reduced(sq_h), sq_unbalance=_reduced(sq_u))
 
 
 def dd_lower_bound(n: int, k: int, s: int, params: DdParams) -> Exact | float:
@@ -261,25 +257,19 @@ def dd_lower_bound(n: int, k: int, s: int, params: DdParams) -> Exact | float:
     if n % s**2:
         raise ValueError("requires s^2 | N")
     lam = n // s**2
-    if params.exact:
-        pa, pb = Fraction(params.a), Fraction(params.b)
-        gamma = Fraction((lam * s - 1) * k, lam * s**2 - 1)
-    else:
-        pa, pb = float(params.a), float(params.b)
-        gamma = (lam * s - 1) * k / (lam * s**2 - 1)
+    num = Fraction if params.exact else float
+    pa, pb = num(params.a), num(params.b)
+    gamma = num((lam * s - 1) * k) / (lam * s**2 - 1)
     fl = math.floor(gamma)
     ratio = pa / pb
-    value = (
+    return _reduced(
         -(((pa - pb) / s + pb) ** k)
         + pa**k / (lam * s**2)
         + pb**k
-        * (1 - Fraction(1, lam * s**2) if params.exact else 1 - 1 / (lam * s**2))
+        * (1 - 1 / num(lam * s**2))
         * (1 + (ratio - 1) * (gamma - fl))
         * ratio**fl
     )
-    if params.exact and isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def cd_coupling(s: int) -> DdParams:

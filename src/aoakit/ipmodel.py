@@ -10,9 +10,8 @@ frequency is from lambda:
 - d0_c_l: free-free pair (c, l) deviations,
 - d1_m:   level balance of the last column (the only relaxed single column),
 - d2_m_mp_j: count of level m in column j against rows whose pinned column 1
-  equals mp (rows (l-1)s^2 + (mp-1)s + 1 .. (l-1)s^2 + mp*s per copy l),
-- d3_m_mp_j: same against rows whose pinned column 2 equals mp (rows of copy
-  l whose within-copy index is congruent to mp mod s).
+  equals mp (the rows are read from ``canonical_head``),
+- d3_m_mp_j: same against rows whose pinned column 2 equals mp.
 
 The objective minimizes sum |delta|^p: for p = 1 every delta splits as
 delta = delta_plus - delta_minus (names d0p_/d0m_ etc.) with a linear
@@ -165,17 +164,6 @@ def arrange_canonical(a: Array) -> Array:
     return Array(a.cells[order], s)
 
 
-def _prefix_of_row(s: int, i: int) -> tuple[int, int, int]:
-    """(copy, u, v) of 1-based canonical row i."""
-    copy = (i - 1) // (s * s)
-    q = i - copy * s * s
-    return copy + 1, (q - 1) // s + 1, (q - 1) % s + 1
-
-
-def _row_of_prefix(s: int, copy: int, u: int, v: int) -> int:
-    return (copy - 1) * s * s + (u - 1) * s + v
-
-
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -205,9 +193,6 @@ class IpModel:
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
 
-    def variable_names(self) -> set[str]:
-        return {v.name for v in self.variables}
-
     def validate(self) -> None:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
@@ -232,9 +217,32 @@ def _z(i, c, l) -> str:
     return f"z_{i}_{c}_{l}"
 
 
+def _deviations(inst: IpInstance) -> list[Variable]:
+    """The deviation variables d0, d1, d2, d3 with their bounds, in model order."""
+    s, lam, eps, lo = inst.s, inst.lam, inst.epsilon, inst.delta_lower
+    deltas: list[Variable] = []
+    for c in range(1, len(inst.column_pairs) + 1):
+        for l in range(1, s * s + 1):
+            deltas.append(Variable(f"d0_{c}_{l}", "general", lo, eps))
+    for m in range(1, s + 1):
+        deltas.append(Variable(f"d1_{m}", "general", -lam * s, lam * s * s - lam * s))
+    for fam in ("d2", "d3"):
+        for m in range(1, s + 1):
+            for mp in range(1, s + 1):
+                for j in inst.free_columns:
+                    deltas.append(Variable(f"{fam}_{m}_{mp}_{j}", "general", lo, eps))
+    return deltas
+
+
+def _parts(name: str) -> tuple[str, str, str]:
+    """Positive part, negative part and abs constraint of deviation ``name`` (p = 1)."""
+    fam, rest = name.split("_", 1)
+    return f"{fam}p_{rest}", f"{fam}m_{rest}", f"abs{fam[1:]}_{rest}"
+
+
 def build_model(inst: IpInstance) -> IpModel:
     """Assemble variables, balance/linking constraints, and the objective."""
-    s, k, lam, eps = inst.s, inst.k, inst.lam, inst.epsilon
+    s, k, lam = inst.s, inst.k, inst.lam
     n = inst.n_runs
     pairs = inst.column_pairs
     model = IpModel()
@@ -248,26 +256,15 @@ def build_model(inst: IpInstance) -> IpModel:
             for l in range(1, s * s + 1):
                 model.variables.append(Variable(_z(i, c, l), "binary"))
 
-    deltas: list[Variable] = []
-    lo = inst.delta_lower
-    for c in range(1, len(pairs) + 1):
-        for l in range(1, s * s + 1):
-            deltas.append(Variable(f"d0_{c}_{l}", "general", lo, eps))
-    for m in range(1, s + 1):
-        deltas.append(Variable(f"d1_{m}", "general", -lam * s, lam * s * s - lam * s))
-    for fam in ("d2", "d3"):
-        for m in range(1, s + 1):
-            for mp in range(1, s + 1):
-                for j in inst.free_columns:
-                    deltas.append(Variable(f"{fam}_{m}_{mp}_{j}", "general", lo, eps))
+    deltas = _deviations(inst)
     model.variables.extend(deltas)
 
     splits: list[tuple[Variable, Variable, Variable]] = []
     if inst.p == 1:
         for d in deltas:
-            fam, rest = d.name.split("_", 1)
-            plus = Variable(f"{fam}p_{rest}", "general", 0, max(d.upper, 0))
-            minus = Variable(f"{fam}m_{rest}", "general", 0, max(-d.lower, 0))
+            plus_name, minus_name, _ = _parts(d.name)
+            plus = Variable(plus_name, "general", 0, max(d.upper, 0))
+            minus = Variable(minus_name, "general", 0, max(-d.lower, 0))
             model.variables.extend([plus, minus])
             splits.append((d, plus, minus))
         model.linear_objective = [(1, v.name) for _, p_, m_ in splits for v in (p_, m_)]
@@ -304,41 +301,21 @@ def build_model(inst: IpInstance) -> IpModel:
                     1,
                 )
             )
-    for j in inst.free_columns:
-        for m in range(1, s + 1):
-            for mp in range(1, s + 1):
-                rows = [
-                    (copy - 1) * s * s + (mp - 1) * s + r
-                    for copy in range(1, lam + 1)
-                    for r in range(1, s + 1)
-                ]
-                add(
-                    Constraint(
-                        f"aoa31_{j}_{m}_{mp}",
-                        tuple((1, _x(i, j, m)) for i in rows)
-                        + ((-1, f"d2_{m}_{mp}_{j}"),),
-                        "=",
-                        lam,
+    head = canonical_head(s, lam)
+    for c in (1, 2):  # pinned column c against free column j: aoa31 with d2, aoa32 with d3
+        for j in inst.free_columns:
+            for m in range(1, s + 1):
+                for mp in range(1, s + 1):
+                    rows = (np.flatnonzero(head[:, c - 1] == mp) + 1).tolist()
+                    add(
+                        Constraint(
+                            f"aoa3{c}_{j}_{m}_{mp}",
+                            tuple((1, _x(i, j, m)) for i in rows)
+                            + ((-1, f"d{c + 1}_{m}_{mp}_{j}"),),
+                            "=",
+                            lam,
+                        )
                     )
-                )
-    for j in inst.free_columns:
-        for m in range(1, s + 1):
-            for mp in range(1, s + 1):
-                rows = [
-                    (copy - 1) * s * s + q
-                    for copy in range(1, lam + 1)
-                    for q in range(1, s * s + 1)
-                    if (q - mp) % s == 0
-                ]
-                add(
-                    Constraint(
-                        f"aoa32_{j}_{m}_{mp}",
-                        tuple((1, _x(i, j, m)) for i in rows)
-                        + ((-1, f"d3_{m}_{mp}_{j}"),),
-                        "=",
-                        lam,
-                    )
-                )
     for i in range(1, n + 1):
         for c, (j1, j2) in enumerate(pairs, start=1):
             add(
@@ -373,10 +350,9 @@ def build_model(inst: IpInstance) -> IpModel:
                 )
             )
     for d, plus, minus in splits:
-        fam, rest = d.name.split("_", 1)
         add(
             Constraint(
-                f"abs{fam[1:]}_{rest}",
+                _parts(d.name)[2],
                 ((1, d.name), (-1, plus.name), (1, minus.name)),
                 "=",
                 0,
@@ -387,12 +363,11 @@ def build_model(inst: IpInstance) -> IpModel:
 
 
 def _prefix_row_map(inst: IpInstance, image) -> list[int]:
-    """sigma[i-1] = image row of i under the prefix map (u,v) -> image(u, v)."""
-    out = []
-    for i in range(1, inst.n_runs + 1):
-        copy, u, v = _prefix_of_row(inst.s, i)
-        out.append(_row_of_prefix(inst.s, copy, *image(u, v)))
-    return out
+    """sigma[i-1] = image row of i under (u,v) -> image(u, v), in i's copy of the head."""
+    per_copy = inst.s**2
+    head = canonical_head(inst.s, inst.lam).tolist()
+    row = {(i // per_copy, u, v): i + 1 for i, (u, v) in enumerate(head)}
+    return [row[(i // per_copy, *image(u, v))] for i, (u, v) in enumerate(head)]
 
 
 def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
@@ -417,22 +392,15 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
         sigma0 = _prefix_row_map(inst, lambda u, v: (v, u))  # the prefix swap
         for i in range(1, inst.n_runs + 1):
             for m in range(1, s + 1):
-                add(
-                    Constraint(
-                        f"sim03_{i}_{m}",
-                        ((1, _x(i, 3, m)), (-1, _x(sigma0[i - 1], 4, m))),
-                        "=",
-                        0,
+                for j, swapped in ((3, 4), (4, 3)):
+                    add(
+                        Constraint(
+                            f"sim0{j}_{i}_{m}",
+                            ((1, _x(i, j, m)), (-1, _x(sigma0[i - 1], swapped, m))),
+                            "=",
+                            0,
+                        )
                     )
-                )
-                add(
-                    Constraint(
-                        f"sim04_{i}_{m}",
-                        ((1, _x(i, 4, m)), (-1, _x(sigma0[i - 1], 3, m))),
-                        "=",
-                        0,
-                    )
-                )
         for i in range(1, inst.n_runs + 1):
             for j in range(5, inst.k + 1):
                 for m in range(1, s + 1):
@@ -484,9 +452,9 @@ def canonical_assignment(inst: IpInstance, a: Array) -> dict[str, int]:
     out.update(deltas)
     if inst.p == 1:
         for name, value in deltas.items():
-            fam, rest = name.split("_", 1)
-            out[f"{fam}p_{rest}"] = max(value, 0)
-            out[f"{fam}m_{rest}"] = max(-value, 0)
+            plus, minus, _ = _parts(name)
+            out[plus] = max(value, 0)
+            out[minus] = max(-value, 0)
     return out
 
 
@@ -553,7 +521,7 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
     Only the x variables are mandatory; z and delta values, when present, are
     compared against the reconstruction.
     """
-    s, k, n = inst.s, inst.k, inst.n_runs
+    s, n = inst.s, inst.n_runs
     head = canonical_head(s, inst.lam)
     cols = [head[:, 0], head[:, 1]]
     for j in inst.free_columns:
@@ -569,34 +537,21 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
         cols.append(col)
     a = Array(np.column_stack(cols), s)
 
-    deltas = _delta_values(inst, a)
+    expected = canonical_assignment(inst, a)
+    bounds = {d.name: d for d in _deviations(inst)}
+    deltas = {name: v for name, v in expected.items() if name in bounds}
     deltas_match = all(
         round(float(assignment[name])) == value
         for name, value in deltas.items()
         if name in assignment
     )
-    lo = inst.delta_lower
-    bounds_ok = all(
-        lo <= v <= inst.epsilon
-        for name, v in deltas.items()
-        if name.startswith(("d0", "d2", "d3"))
-    ) and all(
-        -inst.lam * s <= v <= inst.lam * s * s - inst.lam * s
-        for name, v in deltas.items()
-        if name.startswith("d1")
-    )
-
-    z_ok = True
-    for i in range(1, n + 1):
-        for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
-            lval = s * (int(a.cells[i - 1, j1 - 1]) - 1) + int(a.cells[i - 1, j2 - 1])
-            claimed = [
-                l
-                for l in range(1, s * s + 1)
-                if round(float(assignment.get(_z(i, c, l), l == lval))) == 1
-            ]
-            if claimed != [lval]:
-                z_ok = False
+    bounds_ok = all(bounds[name].lower <= v <= bounds[name].upper for name, v in deltas.items())
+    # a list, not a generator: every given z is rounded, so a NaN anywhere raises
+    z_ok = all([
+        (round(float(assignment[name])) == 1) == (value == 1)
+        for name, value in expected.items()
+        if name.startswith("z_") and name in assignment
+    ])
 
     p = inst.p
     objective = sum(abs(v) ** p for v in deltas.values())
@@ -771,7 +726,7 @@ def _parse_terms(tokens: list[str]) -> list[tuple[int, str]]:
         elif tok == "-":
             sign = -1
             coef = None
-        elif re.fullmatch(r"\d+", tok):
+        elif tok.isdecimal():
             coef = int(tok)
         else:
             terms.append((sign * (1 if coef is None else coef), tok))

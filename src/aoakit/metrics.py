@@ -152,13 +152,14 @@ def d_phi_theta(a: Array, alpha, beta) -> float | Exact:
 
 def d1(a: Array) -> Exact:
     """Average absolute pair deviation: ``d_phi_theta(a,1,1) / binom(k,2)``."""
-    value = Fraction(d_phi_theta(a, 1, 1)) / math.comb(a.n_factors, 2)
+    # with beta = 1 (here and in d2) that criterion is the pair unbalance
+    value = Fraction(unbalance(a, 2, 1)) / math.comb(a.n_factors, 2)
     return _as_exact(value.numerator, value.denominator)
 
 
 def d2(a: Array) -> Exact:
     """Average squared pair deviation: ``d_phi_theta(a,2,1) / binom(k,2)``."""
-    value = Fraction(d_phi_theta(a, 2, 1)) / math.comb(a.n_factors, 2)
+    value = Fraction(unbalance(a, 2, 2)) / math.comb(a.n_factors, 2)
     return _as_exact(value.numerator, value.denominator)
 
 

@@ -7,10 +7,15 @@ the two is meaningful evidence of correctness.  The exceptions are
 bit-for-bit reference for the float arithmetic order, and the two per-state
 exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
 the library's earlier enumerations kept verbatim as the reference for the
-block-scored ones (value, state counts and witnesses in order), and the
+block-scored ones (value, state counts and witnesses in order), the
 earlier orbit expansions (``EncoderLoop``, the search's block-major per-kind
 formulas, and ``expand_loop``/``compress_loop``, the per-row ``_orbit``
-loop of ``symmetry``), kept verbatim as the reference for the orbit gather.
+loop of ``symmetry``), kept verbatim as the reference for the orbit gather,
+and the IP model's earlier pinned-prefix rows and solution audit
+(``prefix_constraints_loop``, ``verify_solution_loop``: row formulas per
+pinned column, per-family bound formulas and a per-row z loop), kept verbatim
+as the reference for the versions that read ``canonical_head``,
+``_deviations`` and ``canonical_assignment``.
 """
 
 from __future__ import annotations
@@ -23,11 +28,15 @@ import numpy as np
 
 from aoakit.arrays import Array, tolerance, unbalance
 from aoakit.ipmodel import (
+    Constraint,
     ExhaustiveResult,
     IpInstance,
+    VerificationReport,
     _balanced_column_count,
     _balanced_columns,
     _delta_values,
+    _x,
+    _z,
     canonical_head,
 )
 from aoakit.search import OracleResult
@@ -463,4 +472,118 @@ def compress_loop(a: Array, kind: str, param: int | None = None) -> SymmetricEnc
         core=tuple(sorted(core)),
         fixed_rows=tuple(fixed),
         param=None if kind == "klein" else param,
+    )
+
+
+def prefix_constraints_loop(inst: IpInstance) -> list[Constraint]:
+    """The aoa31 and aoa32 rows of the earlier ``build_model``, kept verbatim.
+
+    One block per pinned column, each with its own row formula.
+    """
+    s, lam = inst.s, inst.lam
+    out: list[Constraint] = []
+    add = out.append
+    for j in inst.free_columns:
+        for m in range(1, s + 1):
+            for mp in range(1, s + 1):
+                rows = [
+                    (copy - 1) * s * s + (mp - 1) * s + r
+                    for copy in range(1, lam + 1)
+                    for r in range(1, s + 1)
+                ]
+                add(
+                    Constraint(
+                        f"aoa31_{j}_{m}_{mp}",
+                        tuple((1, _x(i, j, m)) for i in rows)
+                        + ((-1, f"d2_{m}_{mp}_{j}"),),
+                        "=",
+                        lam,
+                    )
+                )
+    for j in inst.free_columns:
+        for m in range(1, s + 1):
+            for mp in range(1, s + 1):
+                rows = [
+                    (copy - 1) * s * s + q
+                    for copy in range(1, lam + 1)
+                    for q in range(1, s * s + 1)
+                    if (q - mp) % s == 0
+                ]
+                add(
+                    Constraint(
+                        f"aoa32_{j}_{m}_{mp}",
+                        tuple((1, _x(i, j, m)) for i in rows)
+                        + ((-1, f"d3_{m}_{mp}_{j}"),),
+                        "=",
+                        lam,
+                    )
+                )
+    return out
+
+
+def verify_solution_loop(inst: IpInstance, assignment: dict[str, float]) -> VerificationReport:
+    """The earlier ``verify_solution``, kept verbatim.
+
+    Bounds by per-family formulas; z values by a per-row loop over the levels.
+    """
+    s, k, n = inst.s, inst.k, inst.n_runs
+    head = canonical_head(s, inst.lam)
+    cols = [head[:, 0], head[:, 1]]
+    for j in inst.free_columns:
+        col = np.zeros(n, dtype=np.int64)
+        for i in range(1, n + 1):
+            weights = [assignment.get(_x(i, j, m)) for m in range(1, s + 1)]
+            if any(w is None for w in weights):
+                raise ValueError(f"assignment is missing x values for row {i}, column {j}")
+            ones = [m for m, w in zip(range(1, s + 1), weights) if round(w) == 1]
+            if len(ones) != 1:
+                raise ValueError(f"cell ({i},{j}) does not select exactly one level")
+            col[i - 1] = ones[0]
+        cols.append(col)
+    a = Array(np.column_stack(cols), s)
+
+    deltas = _delta_values(inst, a)
+    deltas_match = all(
+        round(float(assignment[name])) == value
+        for name, value in deltas.items()
+        if name in assignment
+    )
+    lo = inst.delta_lower
+    bounds_ok = all(
+        lo <= v <= inst.epsilon
+        for name, v in deltas.items()
+        if name.startswith(("d0", "d2", "d3"))
+    ) and all(
+        -inst.lam * s <= v <= inst.lam * s * s - inst.lam * s
+        for name, v in deltas.items()
+        if name.startswith("d1")
+    )
+
+    z_ok = True
+    for i in range(1, n + 1):
+        for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
+            lval = s * (int(a.cells[i - 1, j1 - 1]) - 1) + int(a.cells[i - 1, j2 - 1])
+            claimed = [
+                l
+                for l in range(1, s * s + 1)
+                if round(float(assignment.get(_z(i, c, l), l == lval))) == 1
+            ]
+            if claimed != [lval]:
+                z_ok = False
+
+    p = inst.p
+    objective = sum(abs(v) ** p for v in deltas.values())
+    delta1_term = sum(abs(v) ** p for n_, v in deltas.items() if n_.startswith("d1"))
+    unb = unbalance(a, 2, p)
+    identity_ok = objective - delta1_term == unb
+    return VerificationReport(
+        array=a,
+        unbalance=unb,
+        tolerance=tolerance(a, 2),
+        objective=objective,
+        delta1_term=delta1_term,
+        identity_ok=identity_ok,
+        bounds_ok=bounds_ok,
+        z_ok=z_ok,
+        deltas_match=deltas_match,
     )

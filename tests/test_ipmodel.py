@@ -29,7 +29,7 @@ from aoakit.ipmodel import (
     verify_solution,
 )
 
-from oracles import exhaustive_optimum_loop
+from oracles import exhaustive_optimum_loop, prefix_constraints_loop, verify_solution_loop
 
 
 def oa_8_4_2() -> Array:
@@ -141,6 +141,14 @@ class TestModelShape:
         assert (d0.lower, d0.upper) == (-2, 3)  # max(-lam,-eps) .. eps
         d1 = next(v for n, v in by_name.items() if n.startswith("d1_"))
         assert (d1.lower, d1.upper) == (-4, 4)  # -lam*s .. lam*s^2 - lam*s
+
+    @pytest.mark.parametrize("s, k, lam", [
+        (2, 3, 1), (2, 5, 2), (3, 4, 1), (3, 4, 2), (4, 3, 2), (5, 4, 1),
+    ])
+    def test_prefix_rows_equal_per_column_formulas(self, s, k, lam):
+        inst = IpInstance(s=s, k=k, lam=lam)
+        rows = [c for c in build_model(inst).constraints if c.name.startswith("aoa3")]
+        assert rows == prefix_constraints_loop(inst)
 
 
 class TestFeasibility:
@@ -309,6 +317,37 @@ class TestVerifySolution:
         assert not report.z_ok
         assert not report.ok
 
+    # z values tampered to 0, 1 or 2, a deviation off by one, some z missing,
+    # or x values only
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(3, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 0.0, 1.0, 2.0]),
+        st.sampled_from([0.0, 1.0, -1.0]),
+        st.sampled_from(["none", "some z", "all but x"]),
+    )
+    def test_report_equals_per_row_loop(self, s, lam, p, k, seed, z_value, shift, drop):
+        inst = IpInstance(s=s, k=k, lam=lam, p=p)
+        rng = np.random.default_rng(seed)
+        free = rng.integers(1, s + 1, size=(inst.n_runs, k - 2))
+        a = Array(np.column_stack([canonical_head(s, lam), free]), s)
+        assignment = canonical_assignment(inst, a)
+        zs = sorted(n for n in assignment if n.startswith("z_"))
+        deltas = sorted(n for n in assignment if n[0] == "d" and n[2] == "_")
+        if zs and z_value is not None:
+            assignment[zs[rng.integers(len(zs))]] = z_value
+        assignment[deltas[rng.integers(len(deltas))]] += shift
+        if drop == "some z":
+            for name in zs[:: 1 + int(rng.integers(3))]:
+                del assignment[name]
+        elif drop == "all but x":
+            assignment = {n: v for n, v in assignment.items() if n.startswith("x_")}
+        assert verify_solution(inst, assignment) == verify_solution_loop(inst, assignment)
+
     def test_wrong_delta_claim_detected(self):
         inst = IpInstance(s=2, k=4, lam=2, p=2)
         assignment = self._assignment(inst, oa_8_4_2())
@@ -420,6 +459,28 @@ class TestLpFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_lp("Maximize\n obj: x\nEnd")
+
+    # SHA-256 of the LP and MPS text, captured from the implementation that
+    # wrote the rows of each pinned column and each deviation family's bounds
+    # out separately
+    @pytest.mark.parametrize("kw, lp_sha, mps_sha", [
+        (dict(s=3, k=5, lam=2, p=1, epsilon=2),
+         "8d0931ae7f41da7975b91d871677ede65b464692202f2687a998a35a074b5228",
+         "d579a4be5ea78d91cf81e52976e51b0ffdf9ed3ba4231326692b2f14dff3423d"),
+        (dict(s=3, k=5, p=2, symmetry="klein"),
+         "5149730de1613e78ab1003bc830d2bed731f5aaff9df3ca6010b7772581ea353",
+         "3fc576b385cd2436a8cd52d1e099a27357fc2f05491f1d0e689cc01419e6ee98"),
+        (dict(s=2, k=5, lam=2, p=2, symmetry="both", m_bar=1),
+         "b40a99b5dd9454e1cab29405c4f318529ab31c1d34f31bacb6a958939adc0c41",
+         "04ec4d2c1bd6d3d0ceda9c6323fb988a844a01fae022f5896745d4a9be3c544b"),
+    ], ids=["none-lam2-eps2", "klein-p2", "both-lam2-m1"])
+    def test_model_text_is_pinned(self, kw, lp_sha, mps_sha):
+        inst = IpInstance(**kw)
+        model = build_model(inst)
+        if inst.symmetry is not None:
+            model = add_symmetry(model, inst)
+        assert hashlib.sha256(emit_lp(model).encode("ascii")).hexdigest() == lp_sha
+        assert hashlib.sha256(emit_mps(model).encode("ascii")).hexdigest() == mps_sha
 
 
 class TestMpsFormat:

@@ -128,6 +128,8 @@ class TestPairCriteria:
             pairs = comb(a.n_factors, 2)
             assert d1(a) == Fraction(unbalance(a, 2, 1)) / pairs
             assert d2(a) == Fraction(unbalance(a, 2, 2)) / pairs
+            assert d1(a) == Fraction(d_phi_theta(a, 1, 1)) / pairs
+            assert d2(a) == Fraction(d_phi_theta(a, 2, 1)) / pairs
 
     def test_theta_aggregation(self, rng):
         # With beta = 2 the per-pair sums are squared before aggregation,

@@ -262,11 +262,12 @@ class TestLocalSearch:
             assert ma.array == mb.array
 
     def test_time_budget_is_checked_within_a_pass(self):
-        # Unbudgeted, this search reaches its last pass after about 0.1 s, and
-        # that pass alone scans for about 0.7 s (2-vCPU VM).
+        # Unbudgeted, this search runs for more than 8 s: its 35th pass starts
+        # after about 1.2 s and scans for more than 7 s (2-vCPU VM), so the
+        # budget runs out long before the search could complete.
         cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=0.3)
         start = time.monotonic()
-        front = local_pareto_search(25, 6, 5, cfg)
+        front = local_pareto_search(49, 8, 7, cfg)
         elapsed = time.monotonic() - start
         assert front.complete is False
         assert front.members
