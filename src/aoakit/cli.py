@@ -50,11 +50,11 @@ def _bool(value: bool) -> str:
 
 
 @contextmanager
-def _timed(group: str):
-    """Log the wall time of one metric group (stderr, with --verbose)."""
+def _timed(stage: str):
+    """Log the wall time of one stage, e.g. ``eval tables`` (stderr, with --verbose)."""
     start = time.perf_counter()
     yield
-    logger.info("eval %s: %.3f s", group, time.perf_counter() - start)
+    logger.info("%s: %.3f s", stage, time.perf_counter() - start)
 
 
 def _cmd_eval(args) -> int:
@@ -70,20 +70,20 @@ def _cmd_eval(args) -> int:
     print(f"N = {a.n_runs}")
     print(f"k = {a.n_factors}")
     print(f"s = {a.n_levels}")
-    with _timed("tables"):
+    with _timed("eval tables"):
         for t in ts:
             print(f"is_oa_t{t} = {_bool(is_oa(a, t))}")
             print(f"tol_t{t} = {format_exact(tolerance(a, t))}")
             for p in ps:
                 print(f"unb_p{p}_t{t} = {format_exact(unbalance(a, t, p))}")
     if args.d_criteria:
-        with _timed("d-criteria"):
+        with _timed("eval d-criteria"):
             f = default_contrast(a.n_levels)
             print(f"d1 = {format_exact(d1(a))}")
             print(f"d2 = {format_exact(d2(a))}")
             print(f"d_f = {format_exact(d_value(a, f))}")
     if args.discrepancies:
-        with _timed("discrepancies"):
+        with _timed("eval discrepancies"):
             print(f"cd = {format_exact(cd(a))}")
             print(f"wd = {format_exact(wd(a))}")
             print(f"md = {format_exact(md(a))}")
@@ -200,13 +200,16 @@ def _instance_from_args(args) -> ipmodel.IpInstance:
 
 def _cmd_ip(args) -> int:
     inst = _instance_from_args(args)
-    model = ipmodel.build_model(inst)
-    if inst.symmetry is not None:
-        ipmodel.add_symmetry(model, inst)
-    Path(args.out).write_text(ipmodel.emit_lp(model), encoding="ascii", newline="")
+    with _timed("ip build"):
+        model = ipmodel.build_model(inst)
+        if inst.symmetry is not None:
+            ipmodel.add_symmetry(model, inst)
+    with _timed("ip lp"):
+        Path(args.out).write_text(ipmodel.emit_lp(model), encoding="ascii", newline="")
     print(f"lp = {args.out}")
     if args.mps:
-        Path(args.mps).write_text(ipmodel.emit_mps(model), encoding="ascii", newline="")
+        with _timed("ip mps"):
+            Path(args.mps).write_text(ipmodel.emit_mps(model), encoding="ascii", newline="")
         print(f"mps = {args.mps}")
     print(f"variables = {len(model.variables)}")
     print(f"constraints = {len(model.constraints)}")

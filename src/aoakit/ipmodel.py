@@ -30,6 +30,9 @@ Optional symmetry constraints tie variables so that ((m_bar..s)|id) or the
 Klein column swap (id|(1,2)(3,4)) is an automorphism of every feasible array;
 the forced row maps act on the pinned two-column prefix within each copy.
 
+An ``IpModel`` is arrays over one variable table: ``build_model`` and
+``add_symmetry`` compute its CSR rows by index arithmetic, ``emit_lp`` and
+``emit_mps`` write the text straight from them, and ``parse_lp`` fills them.
 Emission is a deterministic CPLEX-LP subset (Minimize / Subject To / Bounds /
 Generals / Binaries / End, ASCII, LF, lines well under 255 characters) that
 round-trips byte-identically through ``parse_lp``; MPS is a secondary format.
@@ -45,7 +48,8 @@ import re
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -183,30 +187,118 @@ class Constraint:
 _NAME = re.compile(r"[A-Za-z]\w*")
 """The shape of a variable name (matched whole) that LP and MPS text can carry."""
 
+_KINDS = ("binary", "general")
+_RELATIONS = ("=", "<=", ">=")
 
-@dataclass
+
+def _undeclared(missing) -> ValueError:
+    return ValueError(f"undeclared variables referenced: {sorted(missing)[:5]}")
+
+
+class _View(Sequence):
+    """A list built afresh on every read; its length is known without building it."""
+
+    def __init__(self, size: int, build):
+        self._size, self._build = size, build
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        return self._build()[i]
+
+    def __iter__(self):
+        return iter(self._build())
+
+    def __eq__(self, other) -> bool:
+        return self._build() == (list(other) if isinstance(other, _View) else other)
+
+
 class IpModel:
-    """Minimization model: linear and diagonal-quadratic objective parts."""
+    """Minimization model: a variable table and constraint rows in CSR form.
 
-    linear_objective: list[tuple[int, str]] = field(default_factory=list)
-    quadratic_objective: list[tuple[int, str]] = field(default_factory=list)
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    Variable v is ``names[v]``, of kind ``_KINDS[kinds[v]]``, in ``lower[v]..upper[v]``.
+    Row r is ``row_names[r]``: ``coefs[a:b]`` on ``cols[a:b]`` (a, b = ``indptr[r:r+2]``),
+    ``_RELATIONS[relations[r]]`` and ``rhs[r]``.  The objective sums ``lin_coefs *
+    x[lin_vars]`` and ``quad_coefs * x[quad_vars]^2``.  ``variables``, ``constraints``,
+    ``linear_objective`` and ``quadratic_objective`` build the object lists on every
+    read (their ``len`` builds nothing); built from such lists, a model converts them once.
+    """
+
+    def __init__(self, linear_objective=(), quadratic_objective=(), variables=(), constraints=()):
+        variables, constraints = list(variables), list(constraints)
+        self.names = [v.name for v in variables]
+        self.kinds = np.array([_KINDS.index(v.kind) for v in variables], np.int8)
+        self.lower = np.array([v.lower for v in variables], np.int64)
+        self.upper = np.array([v.upper for v in variables], np.int64)
+        index = self._name_index()
+        lin, quad, rows = (list(linear_objective), list(quadratic_objective),
+                           [term for c in constraints for term in c.terms])
+        missing = {name for terms in (lin, quad, rows) for _, name in terms if name not in index}
+        if missing:
+            raise _undeclared(missing)
+        coefs = lambda terms: np.array([coef for coef, _ in terms], np.int64)
+        cols = lambda terms: np.array([index[name] for _, name in terms], np.int64)
+        self.lin_coefs, self.lin_vars = coefs(lin), cols(lin)
+        self.quad_coefs, self.quad_vars = coefs(quad), cols(quad)
+        self.coefs, self.cols = coefs(rows), cols(rows)
+        self.row_names = [c.name for c in constraints]
+        self.indptr = np.cumsum([0] + [len(c.terms) for c in constraints], dtype=np.int64)
+        self.relations = np.array([_RELATIONS.index(c.relation) for c in constraints], np.int8)
+        self.rhs = np.array([c.rhs for c in constraints], np.int64)
+
+    def _name_index(self) -> dict[str, int]:
+        """Position of each name in the table, after checking the names."""
+        index = dict(zip(self.names, itertools.count()))
+        if len(index) != len(self.names):
+            raise ValueError("duplicate variable names")
+        if not all(map(_NAME.fullmatch, self.names)):
+            raise ValueError("variable names must be word-shaped")
+        return index
 
     def validate(self) -> None:
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        declared = set(names)
-        if not all(map(_NAME.fullmatch, declared)):
-            raise ValueError("variable names must be word-shaped")
-        used = {n for _, n in self.linear_objective}
-        used |= {n for _, n in self.quadratic_objective}
-        for c in self.constraints:
-            used |= {n for _, n in c.terms}
-        missing = used - declared
-        if missing:
-            raise ValueError(f"undeclared variables referenced: {sorted(missing)[:5]}")
+        """Check the name table and that every referenced index is in it."""
+        self._name_index()
+        for used in (self.cols, self.lin_vars, self.quad_vars):
+            bad = used[(used < 0) | (used >= len(self.names))]
+            if bad.size:
+                raise _undeclared(set(bad.tolist()))
+
+    def _add_rows(self, names: list[str], cols, coefs, rhs) -> None:
+        """Append equality rows: ``cols`` is rows x terms; ``coefs``, ``rhs`` broadcast."""
+        cols = np.asarray(cols, dtype=np.int64)
+        rows, terms = cols.shape
+        self.row_names += names
+        self.indptr = np.append(self.indptr, self.indptr[-1] + terms * np.arange(1, rows + 1))
+        self.cols = np.append(self.cols, cols)
+        self.coefs = np.append(self.coefs, np.broadcast_to(coefs, cols.shape))
+        self.relations = np.append(self.relations, np.zeros(rows, np.int8))
+        self.rhs = np.append(self.rhs, np.broadcast_to(rhs, rows))
+
+    def _terms(self, coefs: np.ndarray, cols: np.ndarray) -> list[tuple[int, str]]:
+        return list(zip(coefs.tolist(), map(self.names.__getitem__, cols.tolist())))
+
+    def _variable_list(self) -> list[Variable]:
+        kinds = map(_KINDS.__getitem__, self.kinds.tolist())
+        return list(map(Variable, self.names, kinds, self.lower.tolist(), self.upper.tolist()))
+
+    def _constraint_list(self) -> list[Constraint]:
+        terms, bounds = self._terms(self.coefs, self.cols), self.indptr.tolist()
+        rows = zip(self.row_names, bounds, bounds[1:], self.relations.tolist(), self.rhs.tolist())
+        return [Constraint(n, tuple(terms[a:b]), _RELATIONS[r], rhs) for n, a, b, r, rhs in rows]
+
+    variables = property(lambda self: _View(len(self.names), self._variable_list))
+    constraints = property(lambda self: _View(len(self.row_names), self._constraint_list))
+    linear_objective = property(lambda self: _View(
+        len(self.lin_vars), lambda: self._terms(self.lin_coefs, self.lin_vars)))
+    quadratic_objective = property(lambda self: _View(
+        len(self.quad_vars), lambda: self._terms(self.quad_coefs, self.quad_vars)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IpModel):
+            return NotImplemented
+        return vars(self).keys() == vars(other).keys() and all(
+            np.array_equal(value, getattr(other, key)) for key, value in vars(self).items())
 
 
 def _x(i, j, m) -> str:
@@ -240,125 +332,66 @@ def _parts(name: str) -> tuple[str, str, str]:
     return f"{fam}p_{rest}", f"{fam}m_{rest}", f"abs{fam[1:]}_{rest}"
 
 
+def _x_index(inst: IpInstance) -> np.ndarray:
+    """Table index of x_i_j_m at [i-1, j-3, m-1]: the x variables come first."""
+    return np.arange(inst.n_runs * (inst.k - 2) * inst.s).reshape(inst.n_runs, inst.k - 2, inst.s)
+
+
 def build_model(inst: IpInstance) -> IpModel:
     """Assemble variables, balance/linking constraints, and the objective."""
-    s, k, lam = inst.s, inst.k, inst.lam
-    n = inst.n_runs
-    pairs = inst.column_pairs
-    model = IpModel()
-
-    for i in range(1, n + 1):
-        for j in inst.free_columns:
-            for m in range(1, s + 1):
-                model.variables.append(Variable(_x(i, j, m), "binary"))
-    for i in range(1, n + 1):
-        for c in range(1, len(pairs) + 1):
-            for l in range(1, s * s + 1):
-                model.variables.append(Variable(_z(i, c, l), "binary"))
-
+    s, lam, ss, n = inst.s, inst.lam, inst.s**2, inst.n_runs
+    free, levels, runs = list(inst.free_columns), range(1, s + 1), range(1, n + 1)
+    pairs = np.array(inst.column_pairs, np.int64).reshape(-1, 2) - 3  # as x's second axis
+    pair_ids, codes = range(1, len(pairs) + 1), range(1, ss + 1)
     deltas = _deviations(inst)
-    model.variables.extend(deltas)
+    parts = [_parts(d.name) for d in deltas] if inst.p == 1 else []
+    variables = list(deltas)
+    for d, (plus, minus, _) in zip(deltas, parts):
+        variables += [Variable(plus, "general", 0, max(d.upper, 0)),
+                      Variable(minus, "general", 0, max(-d.lower, 0))]
+    model = IpModel()
+    model.names = list(itertools.starmap(_x, itertools.product(runs, free, levels)))
+    model.names += itertools.starmap(_z, itertools.product(runs, pair_ids, codes))
+    binaries = len(model.names)
+    model.names += [v.name for v in variables]
+    model.kinds = np.repeat(np.int8([0, 1]), [binaries, len(variables)])
+    model.lower = np.append(np.zeros(binaries, np.int64), [v.lower for v in variables])
+    model.upper = np.append(np.ones(binaries, np.int64), [v.upper for v in variables])
 
-    splits: list[tuple[Variable, Variable, Variable]] = []
-    if inst.p == 1:
-        for d in deltas:
-            plus_name, minus_name, _ = _parts(d.name)
-            plus = Variable(plus_name, "general", 0, max(d.upper, 0))
-            minus = Variable(minus_name, "general", 0, max(-d.lower, 0))
-            model.variables.extend([plus, minus])
-            splits.append((d, plus, minus))
-        model.linear_objective = [(1, v.name) for _, p_, m_ in splits for v in (p_, m_)]
+    # table indices: x[i-1, j-3, m-1], z[i-1, c-1, l-1], then the deviations in _deviations order
+    x = _x_index(inst)
+    z = x.size + np.arange(n * len(pairs) * ss).reshape(n, len(pairs), ss)
+    deviation = binaries + np.arange(len(deltas))
+    d0, d1 = deviation[: len(pairs) * ss].reshape(-1, ss), deviation[len(pairs) * ss :][:s]
+    d23 = deviation[len(pairs) * ss + s :].reshape(2, s, s, len(free))  # d2/d3 [m-1, mp-1, j-3]
+    split = binaries + len(deltas) + np.arange(2 * len(parts))  # plus, minus of each deviation
+    if parts:
+        model.lin_coefs, model.lin_vars = np.ones_like(split), split
     else:
-        model.quadratic_objective = [(1, d.name) for d in deltas]
+        model.quad_coefs, model.quad_vars = np.ones_like(deviation), deviation
 
-    add = model.constraints.append
-    for j in list(inst.free_columns)[:-1]:
-        for m in range(1, s + 1):
-            add(
-                Constraint(
-                    f"aoa1_{j}_{m}",
-                    tuple((1, _x(i, j, m)) for i in range(1, n + 1)),
-                    "=",
-                    lam * s,
-                )
-            )
-    for m in range(1, s + 1):
-        add(
-            Constraint(
-                f"aoa1k_{m}",
-                tuple((1, _x(i, k, m)) for i in range(1, n + 1)) + ((-1, f"d1_{m}"),),
-                "=",
-                lam * s,
-            )
-        )
-    for i in range(1, n + 1):
-        for j in inst.free_columns:
-            add(
-                Constraint(
-                    f"aoa2_{i}_{j}",
-                    tuple((1, _x(i, j, m)) for m in range(1, s + 1)),
-                    "=",
-                    1,
-                )
-            )
+    add = model._add_rows
+    add([f"aoa1_{j}_{m}" for j in free[:-1] for m in levels],
+        x[:, :-1].transpose(1, 2, 0).reshape(-1, n), 1, lam * s)
+    add([f"aoa1k_{m}" for m in levels], np.column_stack([x[:, -1].T, d1]), [1] * n + [-1], lam * s)
+    add([f"aoa2_{i}_{j}" for i in runs for j in free], x.reshape(-1, s), 1, 1)
     head = canonical_head(s, lam)
     for c in (1, 2):  # pinned column c against free column j: aoa31 with d2, aoa32 with d3
-        for j in inst.free_columns:
-            for m in range(1, s + 1):
-                for mp in range(1, s + 1):
-                    rows = (np.flatnonzero(head[:, c - 1] == mp) + 1).tolist()
-                    add(
-                        Constraint(
-                            f"aoa3{c}_{j}_{m}_{mp}",
-                            tuple((1, _x(i, j, m)) for i in rows)
-                            + ((-1, f"d{c + 1}_{m}_{mp}_{j}"),),
-                            "=",
-                            lam,
-                        )
-                    )
-    for i in range(1, n + 1):
-        for c, (j1, j2) in enumerate(pairs, start=1):
-            add(
-                Constraint(
-                    f"aoaz1_{i}_{c}",
-                    tuple((l, _z(i, c, l)) for l in range(1, s * s + 1))
-                    + tuple((-s * m, _x(i, j1, m)) for m in range(1, s + 1))
-                    + tuple((-m, _x(i, j2, m)) for m in range(1, s + 1)),
-                    "=",
-                    -s,
-                )
-            )
-    for i in range(1, n + 1):
-        for c in range(1, len(pairs) + 1):
-            add(
-                Constraint(
-                    f"aoaz2_{i}_{c}",
-                    tuple((1, _z(i, c, l)) for l in range(1, s * s + 1)),
-                    "=",
-                    1,
-                )
-            )
-    for c in range(1, len(pairs) + 1):
-        for l in range(1, s * s + 1):
-            add(
-                Constraint(
-                    f"aoaz3_{c}_{l}",
-                    tuple((1, _z(i, c, l)) for i in range(1, n + 1))
-                    + ((-1, f"d0_{c}_{l}"),),
-                    "=",
-                    lam,
-                )
-            )
-    for d, plus, minus in splits:
-        add(
-            Constraint(
-                _parts(d.name)[2],
-                ((1, d.name), (-1, plus.name), (1, minus.name)),
-                "=",
-                0,
-            )
-        )
-    model.validate()
+        rows = np.array([np.flatnonzero(head[:, c - 1] == mp) for mp in levels])
+        add([f"aoa3{c}_{j}_{m}_{mp}" for j in free for m in levels for mp in levels],
+            np.column_stack([x[rows].transpose(2, 3, 0, 1).reshape(-1, lam * s),
+                             d23[c - 1].transpose(2, 0, 1).reshape(-1)]),
+            [1] * (lam * s) + [-1], lam)
+    pair_rows = [f"_{i}_{c}" for i in runs for c in pair_ids]
+    add(["aoaz1" + row for row in pair_rows],
+        np.concatenate([z, x[:, pairs[:, 0]], x[:, pairs[:, 1]]], axis=2).reshape(-1, ss + 2 * s),
+        np.concatenate([codes, -s * np.array(levels), -np.array(levels)]), -s)
+    add(["aoaz2" + row for row in pair_rows], z.reshape(-1, ss), 1, 1)
+    add([f"aoaz3_{c}_{l}" for c in pair_ids for l in codes],
+        np.column_stack([z.transpose(1, 2, 0).reshape(-1, n), d0.reshape(-1)]), [1] * n + [-1], lam)
+    if parts:
+        add([name for *_, name in parts],
+            np.column_stack([deviation, split[0::2], split[1::2]]), (1, -1, 1), 0)
     return model
 
 
@@ -371,44 +404,35 @@ def _prefix_row_map(inst: IpInstance, image) -> list[int]:
 
 
 def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
-    """Append the variable-tying equalities for the declared automorphism."""
+    """Append the variable-tying equalities for the declared automorphism.
+
+    ``model`` comes from ``build_model(inst)``, which declares the x variables first.
+    """
     if inst.symmetry is None:
         raise ValueError("instance declares no symmetry")
     s = inst.s
-    add = model.constraints.append
+    x = _x_index(inst)
+    if model.names[x.size - 1 : x.size] != [_x(inst.n_runs, inst.k, s)]:
+        raise ValueError("model was not built for this instance")
+
+    def tie(a: np.ndarray, b: np.ndarray, name) -> None:
+        """Rows a = b in cell order, named by ``name`` of the 0-based cell; a = a is skipped."""
+        keep = a != b
+        names = itertools.starmap(name, zip(*(axis.tolist() for axis in np.nonzero(keep))))
+        model._add_rows(list(names), np.column_stack([a[keep], b[keep]]), (1, -1), 0)
+
     if inst.symmetry in ("semicyclic", "both") and inst.m_bar < s:
         m_bar = inst.m_bar
         g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
-        sigma = _prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))
-        for i in range(1, inst.n_runs + 1):
-            for j in inst.free_columns:
-                for m in range(1, s + 1):
-                    fam = "sim1" if m < m_bar else ("sim2" if m < s else "sim3")
-                    a, b = _x(i, j, m), _x(sigma[i - 1], j, g[m - 1])
-                    if a == b:
-                        continue
-                    add(Constraint(f"{fam}_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))
+        sigma = np.array(_prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))) - 1
+        fam = ["sim1"] * (m_bar - 1) + ["sim2"] * (s - m_bar) + ["sim3"]
+        tie(x, x[sigma][:, :, np.array(g) - 1],
+            lambda i, j, m: f"{fam[m]}_{i + 1}_{j + 3}_{m + 1}")
     if inst.symmetry in ("klein", "both"):
-        sigma0 = _prefix_row_map(inst, lambda u, v: (v, u))  # the prefix swap
-        for i in range(1, inst.n_runs + 1):
-            for m in range(1, s + 1):
-                for j, swapped in ((3, 4), (4, 3)):
-                    add(
-                        Constraint(
-                            f"sim0{j}_{i}_{m}",
-                            ((1, _x(i, j, m)), (-1, _x(sigma0[i - 1], swapped, m))),
-                            "=",
-                            0,
-                        )
-                    )
-        for i in range(1, inst.n_runs + 1):
-            for j in range(5, inst.k + 1):
-                for m in range(1, s + 1):
-                    a, b = _x(i, j, m), _x(sigma0[i - 1], j, m)
-                    if a == b:
-                        continue
-                    add(Constraint(f"sim034_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))
-    model.validate()
+        swapped = x[np.array(_prefix_row_map(inst, lambda u, v: (v, u))) - 1]  # the prefix swap
+        tie(x[:, :2].transpose(0, 2, 1), swapped[:, 1::-1].transpose(0, 2, 1),
+            lambda i, m, j: f"sim0{j + 3}_{i + 1}_{m + 1}")  # columns 3 and 4 swap
+        tie(x[:, 2:], swapped[:, 2:], lambda i, j, m: f"sim034_{i + 1}_{j + 5}_{m + 1}")
     return model
 
 
@@ -659,79 +683,96 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
 _LP_WIDTH = 78
 
 
-def _term_tokens(terms, first_bare: bool = True) -> list[str]:
-    tokens = []
-    for idx, (coef, name) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{mag} {name}"
-        if idx == 0 and first_bare:
-            tokens.append(body if coef > 0 else f"- {body}")
-        else:
-            tokens.append(f"{sign} {body}")
-    return tokens
+def _term_tokens(coefs: np.ndarray, names: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """LP tokens ``+ x``, ``- 3 x`` of terms; a ``first`` positive term drops its ``+``."""
+    distinct, inverse = np.unique(coefs, return_inverse=True)
+    distinct = distinct.tolist()
+    mags = ["" if abs(c) == 1 else f"{abs(c)} " for c in distinct]
+    lead = np.array([("" if c > 0 else "- ") + m for c, m in zip(distinct, mags)], object)
+    rest = np.array([("- " if c < 0 else "+ ") + m for c, m in zip(distinct, mags)], object)
+    return np.where(first, lead[inverse], rest[inverse]) + names
 
 
-def _wrap(head: str, tokens: list[str], out: list[str], width: int = _LP_WIDTH) -> None:
-    line = head
-    for tok in tokens:
-        if line and len(line) + 1 + len(tok) > width:
-            out.append(line)
-            line = "   " + tok
-        else:
-            line = tok if not line else f"{line} {tok}"
-    out.append(line)
+def _wrap_rows(heads: list[str], tokens: np.ndarray, indptr: np.ndarray) -> str:
+    """Every row's lines: its head, then tokens ``indptr[r]:indptr[r+1]`` wrapped greedily
+    at ``_LP_WIDTH``, continuation lines indented by three spaces.
+
+    With ``cum`` the running sum of token length + 1, a line of tokens a..b-1
+    is ``cum[b] - cum[a]`` long plus the head's length after a head, plus 2 on
+    a continuation line, minus 1 after an empty head (whose tokens start its line).
+    """
+    count, start, end = len(tokens), indptr[:-1], indptr[1:]
+    cum = np.append(0, np.cumsum(np.fromiter(map(len, tokens), np.int64, count) + 1))
+    lead = np.array([len(h) or -1 for h in heads], np.int64)
+    first = np.clip(np.searchsorted(cum, cum[start] + _LP_WIDTH - lead, "right") - 1,
+                    start + (lead < 0), end)
+    following = np.clip(np.searchsorted(cum, cum[:-1] + _LP_WIDTH - 2, "right") - 1,
+                        np.arange(1, count + 1), np.repeat(end, end - start))
+    breaks, following = [], following.tolist()
+    for b, e in zip(first.tolist(), end.tolist()):
+        while b < e:
+            breaks.append(b)
+            b = following[b]
+    sep = np.full(count, " ", dtype=object)
+    sep[breaks] = "\n   "
+    sep[start[(lead < 0) & (end > start)]] = ""
+    return "".join(np.insert(sep + tokens, start, ["\n" + h for h in heads]).tolist())[1:]
 
 
 def emit_lp(model: IpModel) -> str:
     """Deterministic CPLEX-LP text for the model."""
-    model.validate()
-    out: list[str] = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize"]
-    tokens = _term_tokens(model.linear_objective)
-    if model.quadratic_objective:
-        qt = _term_tokens(
-            [(2 * c, f"{n} ^2") for c, n in model.quadratic_objective],
-            first_bare=not tokens,
-        )
+    names = np.array(model.names, dtype=object)
+    lin, quad = len(model.lin_vars), len(model.quad_vars)
+    tokens = list(_term_tokens(model.lin_coefs, names[model.lin_vars], np.arange(lin) == 0))
+    if quad:
+        qt = list(_term_tokens(2 * model.quad_coefs, names[model.quad_vars] + " ^2",
+                               np.arange(quad) == (-1 if tokens else 0)))
         qt[0] = f"[ {qt[0]}" if not tokens else f"+ [ {qt[0].lstrip('+ ')}"
         qt[-1] += " ] / 2"
         tokens += qt
-    _wrap(" obj:", tokens, out)
-    out.append("Subject To")
-    for c in model.constraints:
-        tokens = _term_tokens(c.terms) + [c.relation, str(c.rhs)]
-        _wrap(f" {c.name}:", tokens, out)
+    out = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize",
+           _wrap_rows([" obj:"], np.array(tokens, dtype=object), np.array([0, len(tokens)])),
+           "Subject To"]
+    if model.row_names:
+        first = np.zeros(len(model.cols), bool)
+        first[model.indptr[:-1][np.diff(model.indptr) > 0]] = True
+        # each row's term tokens, then its relation and right-hand side
+        tails = np.column_stack([np.array(_RELATIONS, object)[model.relations],
+                                 np.array(list(map(str, model.rhs.tolist())), object)])
+        stream = np.insert(_term_tokens(model.coefs, names[model.cols], first),
+                           np.repeat(model.indptr[1:], 2), tails.ravel())
+        heads = [f" {name}:" for name in model.row_names]
+        out.append(_wrap_rows(heads, stream, model.indptr + 2 * np.arange(len(heads) + 1)))
     out.append("Bounds")
-    for v in model.variables:
-        if v.kind == "general":
-            out.append(f" {v.lower} <= {v.name} <= {v.upper}")
-    generals = [v.name for v in model.variables if v.kind == "general"]
-    if generals:
-        out.append("Generals")
-        _wrap("", generals, out)
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
-    if binaries:
-        out.append("Binaries")
-        _wrap("", binaries, out)
+    general = model.kinds == 1
+    out += [f" {lo} <= {name} <= {hi}" for name, lo, hi in zip(
+        names[general].tolist(), model.lower[general].tolist(), model.upper[general].tolist())]
+    for section, members in (("Generals", names[general]), ("Binaries", names[~general])):
+        if len(members):
+            out += [section, _wrap_rows([""], members, np.array([0, len(members)]))]
     out.append("End")
     return "\n".join(out) + "\n"
 
 
-def _parse_terms(tokens: list[str]) -> list[tuple[int, str]]:
-    terms = []
-    sign, coef = 1, None
-    for tok in tokens:
-        if tok == "+":
-            sign, coef = 1, None
-        elif tok == "-":
-            sign = -1
-            coef = None
-        elif tok.isdecimal():
-            coef = int(tok)
-        else:
-            terms.append((sign * (1 if coef is None else coef), tok))
-            sign, coef = 1, None
-    return terms
+_TOKEN_CODES = {"+": -1, "-": -2, "=": -3, "<=": -4, ">=": -5}  # relation r: -3 - r
+_OTHER = -6  # a number, a row name or an undeclared name
+_INT = re.compile(r"[-+]?\d+")
+
+
+def _parse_terms(tokens: list[str], code: np.ndarray, skip=np.False_):
+    """Coefficients, variables and positions of the terms among ``tokens``, and the
+    undeclared names.  A variable takes the last sign since the previous term (default +)
+    and the decimal right before it (default 1); tokens in ``skip`` only end a term.
+    """
+    other = np.flatnonzero((code == _OTHER) & ~skip)
+    words = [tokens[t] for t in other.tolist()]
+    value = np.full(len(tokens) + 1, -1, np.int64)  # [t + 1]: the decimal token t; [0] a boundary
+    value[other + 1] = [int(w) if w.isdecimal() else -1 for w in words]
+    at = np.flatnonzero(code >= 0)
+    last = np.maximum.accumulate(np.where(value < 0, np.arange(len(tokens) + 1), 0))[at]
+    sign = np.where(np.append(_OTHER, code)[last] == _TOKEN_CODES["-"], -1, 1)
+    missing = {w for w in words if not w.isdecimal()}
+    return sign * np.where(value[at] < 0, 1, value[at]), code[at], at, missing
 
 
 def parse_lp(text: str) -> IpModel:
@@ -754,102 +795,105 @@ def parse_lp(text: str) -> IpModel:
     if "End" not in bodies:
         raise ValueError("LP text has no End marker")
 
-    model = IpModel()
-
-    obj_tokens = " ".join(bodies.get("Minimize", [])).split()
-    if obj_tokens and obj_tokens[0] == "obj:":
-        obj_tokens = obj_tokens[1:]
-    if "[" in obj_tokens:
-        b = obj_tokens.index("[")
-        linear_part, quad_part = obj_tokens[:b], obj_tokens[b + 1 :]
-        if linear_part and linear_part[-1] == "+":
-            linear_part = linear_part[:-1]
-        close = quad_part.index("]")
-        if quad_part[close : close + 3] != ["]", "/", "2"]:
-            raise ValueError("quadratic block must end with ] / 2")
-        quad_tokens = quad_part[:close]
-        squares = []
-        for coef, name in _parse_terms([t for t in quad_tokens if t != "^2"]):
-            if coef % 2:
-                raise ValueError("quadratic coefficients must be doubled inside [ ]")
-            squares.append((coef // 2, name))
-        model.quadratic_objective = squares
-        model.linear_objective = _parse_terms(linear_part)
-    else:
-        model.linear_objective = _parse_terms(obj_tokens)
-
-    body = " ".join(bodies.get("Subject To", []))
-    pieces = re.split(r"(?=\b[A-Za-z]\w*:)", body)
-    for piece in pieces:
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, rest = piece.split(":", 1)
-        tokens = rest.split()
-        rel_idx = next(i for i, t in enumerate(tokens) if t in ("=", "<=", ">="))
-        terms = _parse_terms(tokens[:rel_idx])
-        model.constraints.append(
-            Constraint(
-                name=name.strip(),
-                terms=tuple(terms),
-                relation=tokens[rel_idx],
-                rhs=int(tokens[rel_idx + 1]),
-            )
-        )
-
     bounds: dict[str, tuple[int, int]] = {}
     for line in bodies.get("Bounds", []):
         m = re.fullmatch(r"\s*(-?\d+)\s*<=\s*(\w+)\s*<=\s*(-?\d+)\s*", line)
         if not m:
             raise ValueError(f"unsupported bounds line: {line!r}")
         bounds[m.group(2)] = (int(m.group(1)), int(m.group(3)))
-    for name in " ".join(bodies.get("Binaries", [])).split():
-        model.variables.append(Variable(name, "binary"))
-    for name in " ".join(bodies.get("Generals", [])).split():
-        lo, hi = bounds[name]
-        model.variables.append(Variable(name, "general", lo, hi))
-    model.validate()
+    binaries = " ".join(bodies.get("Binaries", [])).split()
+    generals = " ".join(bodies.get("Generals", [])).split()
+    unbounded = [name for name in generals if name not in bounds]
+    if unbounded:
+        raise ValueError(f"general variable {unbounded[0]!r} has no Bounds line")
+    model = IpModel()
+    model.names = binaries + generals
+    model.kinds = np.repeat(np.int8([0, 1]), [len(binaries), len(generals)])
+    model.lower, model.upper = np.array([(0, 1)] * len(binaries) + [bounds[n] for n in generals],
+                                        np.int64).reshape(-1, 2).T
+    index = {**model._name_index(), **_TOKEN_CODES}  # token -> variable index or token code
+    codes = lambda tokens: np.fromiter(map(index.get, tokens, itertools.repeat(_OTHER)), np.int64)
+
+    obj_tokens = " ".join(bodies.get("Minimize", [])).split()
+    if obj_tokens and obj_tokens[0] == "obj:":
+        obj_tokens = obj_tokens[1:]
+    linear_part, quad_tokens = obj_tokens, []
+    if "[" in obj_tokens:
+        b = obj_tokens.index("[")
+        linear_part, quad_part = obj_tokens[:b], obj_tokens[b + 1 :]
+        if linear_part and linear_part[-1] == "+":
+            linear_part = linear_part[:-1]
+        if "]" not in quad_part:
+            raise ValueError("objective 'obj' opens '[' and never closes it")
+        close = quad_part.index("]")
+        if quad_part[close : close + 3] != ["]", "/", "2"]:
+            raise ValueError("quadratic block must end with ] / 2")
+        quad_tokens = [t for t in quad_part[:close] if t != "^2"]
+    model.lin_coefs, model.lin_vars, _, missing = _parse_terms(linear_part, codes(linear_part))
+    doubled, model.quad_vars, _, missing_quad = _parse_terms(quad_tokens, codes(quad_tokens))
+    if (doubled % 2).any():
+        raise ValueError("quadratic coefficients must be doubled inside [ ]")
+    model.quad_coefs = doubled // 2
+
+    # rows: a name with a colon, terms, one relation, an integer right-hand side
+    tokens = " ".join(bodies.get("Subject To", [])).split()
+    code = codes(tokens)
+    start = np.array([t for t in np.flatnonzero(code == _OTHER).tolist()
+                      if tokens[t][-1] == ":" and _NAME.fullmatch(tokens[t][:-1])], np.int64)
+    if tokens and not (start.size and start[0] == 0):
+        raise ValueError(f"constraint text {tokens[0]!r} comes before any constraint name")
+    end = np.append(start[1:], len(tokens))[: len(start)]
+    model.row_names = [tokens[t][:-1] for t in start.tolist()]
+    relation = (code <= _TOKEN_CODES["="]) & (code >= _TOKEN_CODES[">="])
+    count = np.add.reduceat(relation.astype(np.int64), start) if start.size else start
+    rhs = [tokens[t] for t in (end - 1).tolist()]
+    ok = (count == 1) & relation[np.maximum(end - 2, 0)] & [bool(_INT.fullmatch(v)) for v in rhs]
+    if not ok.all():
+        name = model.row_names[int(np.argmin(ok))]
+        raise ValueError(f"constraint {name!r} does not end with a relation and an integer")
+    model.relations = (_TOKEN_CODES["="] - code[end - 2]).astype(np.int8)
+    model.rhs = np.array(list(map(int, rhs)), np.int64)
+    skip = np.zeros(len(tokens), bool)
+    skip[np.concatenate([start, end - 2, end - 1])] = True
+    model.coefs, model.cols, at, missing_rows = _parse_terms(tokens, code, skip)
+    model.indptr = np.searchsorted(at, np.append(start, len(tokens)))
+    if missing | missing_quad | missing_rows:
+        raise _undeclared(missing | missing_quad | missing_rows)
     return model
 
 
 def emit_mps(model: IpModel) -> str:
     """Free-format MPS emission (secondary to the LP format)."""
-    model.validate()
+    names = np.array(model.names, dtype=object)
     out = ["NAME          AOAMODEL", "ROWS", " N  obj"]
-    for c in model.constraints:
-        tag = {"=": "E", "<=": "L", ">=": "G"}[c.relation]
-        out.append(f" {tag}  {c.name}")
-    lin = {}
-    for coef, name in model.linear_objective:
-        lin[name] = lin.get(name, 0) + coef
-    by_var: dict[str, list[tuple[str, int]]] = {}
-    for c in model.constraints:
-        for coef, name in c.terms:
-            by_var.setdefault(name, []).append((c.name, coef))
-    out.append("COLUMNS")
-    out.append("    MARKER                 'MARKER'                 'INTORG'")
-    for v in model.variables:
-        entries = by_var.get(v.name, [])
-        if v.name in lin:
-            entries = [("obj", lin[v.name])] + entries
-        for row, coef in entries:
-            out.append(f"    {v.name}  {row}  {coef}")
-    out.append("    MARKER                 'MARKER'                 'INTEND'")
+    out += [f" {'ELG'[r]}  {name}" for r, name in zip(model.relations.tolist(), model.row_names)]
+    # one entry per objective variable (its summed coefficient), then per row term,
+    # listed by variable in a stable order
+    lin_vars, inverse = np.unique(model.lin_vars, return_inverse=True)
+    lin_coefs = np.zeros(len(lin_vars), np.int64)
+    np.add.at(lin_coefs, inverse, model.lin_coefs)
+    cols = np.append(lin_vars, model.cols)
+    order = np.argsort(cols, kind="stable")
+    rows = np.append(np.zeros(len(lin_vars), np.int64),
+                     np.repeat(np.arange(1, len(model.row_names) + 1), np.diff(model.indptr)))
+    coefs, coef_index = np.unique(np.append(lin_coefs, model.coefs), return_inverse=True)
+    entries = np.empty((len(cols), 6), dtype=object)
+    entries[:, 0], entries[:, 2], entries[:, 4] = "\n    ", "  ", "  "
+    entries[:, 1] = names[cols[order]]
+    entries[:, 3] = np.array(["obj"] + model.row_names, dtype=object)[rows[order]]
+    entries[:, 5] = np.array(list(map(str, coefs.tolist())), dtype=object)[coef_index[order]]
+    marker = "    MARKER                 'MARKER'                 "
+    out += ["COLUMNS", marker + "'INTORG'" + "".join(entries.ravel().tolist()), marker + "'INTEND'"]
     out.append("RHS")
-    for c in model.constraints:
-        if c.rhs:
-            out.append(f"    RHS  {c.name}  {c.rhs}")
+    out += [f"    RHS  {name}  {v}" for name, v in zip(model.row_names, model.rhs.tolist()) if v]
     out.append("BOUNDS")
-    for v in model.variables:
-        if v.kind == "binary":
-            out.append(f" BV BND  {v.name}")
-        else:
-            out.append(f" LO BND  {v.name}  {v.lower}")
-            out.append(f" UP BND  {v.name}  {v.upper}")
-    if model.quadratic_objective:
+    out += [f" LO BND  {name}  {lo}\n UP BND  {name}  {hi}" if kind else f" BV BND  {name}"
+            for name, kind, lo, hi in zip(
+                model.names, model.kinds.tolist(), model.lower.tolist(), model.upper.tolist())]
+    if len(model.quad_vars):
         out.append("QMATRIX")
-        for coef, name in model.quadratic_objective:
-            out.append(f"    {name}  {name}  {2 * coef}")
+        out += [f"    {name}  {name}  {2 * coef}" for coef, name in model._terms(
+            model.quad_coefs, model.quad_vars)]
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 

@@ -15,13 +15,19 @@ and the IP model's earlier pinned-prefix rows and solution audit
 (``prefix_constraints_loop``, ``verify_solution_loop``: row formulas per
 pinned column, per-family bound formulas and a per-row z loop), kept verbatim
 as the reference for the versions that read ``canonical_head``,
-``_deviations`` and ``canonical_assignment``.
+``_deviations`` and ``canonical_assignment``, and the IP model's earlier
+object form (``IpModelLists`` with ``build_model_loop``,
+``add_symmetry_loop``, ``emit_lp_loop``, ``emit_mps_loop`` and
+``parse_lp_loop``: lists of ``Variable`` and ``Constraint`` filled one name
+at a time), kept verbatim as the reference for the array-backed model.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +37,16 @@ from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
     IpInstance,
+    Variable,
     VerificationReport,
+    _LP_WIDTH,
+    _NAME,
     _balanced_column_count,
     _balanced_columns,
     _delta_values,
+    _deviations,
+    _parts,
+    _prefix_row_map,
     _x,
     _z,
     canonical_head,
@@ -45,6 +57,7 @@ from aoakit.symmetry import (
     SymmetricEncoding,
     _default_bicyclic_r,
     bicyclic_generator,
+    cycle_permutation,
     is_automorphism,
     klein_generator,
     semicyclic_generator,
@@ -587,3 +600,390 @@ def verify_solution_loop(inst: IpInstance, assignment: dict[str, float]) -> Veri
         z_ok=z_ok,
         deltas_match=deltas_match,
     )
+
+
+# The IP model as lists of objects, kept verbatim from before the array-backed model.
+
+
+@dataclass
+class IpModelLists:
+    """Minimization model: linear and diagonal-quadratic objective parts."""
+
+    linear_objective: list[tuple[int, str]] = field(default_factory=list)
+    quadratic_objective: list[tuple[int, str]] = field(default_factory=list)
+    variables: list[Variable] = field(default_factory=list)
+    constraints: list[Constraint] = field(default_factory=list)
+
+    def validate(self) -> None:
+        names = [v.name for v in self.variables]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names")
+        declared = set(names)
+        if not all(map(_NAME.fullmatch, declared)):
+            raise ValueError("variable names must be word-shaped")
+        used = {n for _, n in self.linear_objective}
+        used |= {n for _, n in self.quadratic_objective}
+        for c in self.constraints:
+            used |= {n for _, n in c.terms}
+        missing = used - declared
+        if missing:
+            raise ValueError(f"undeclared variables referenced: {sorted(missing)[:5]}")
+
+
+def build_model_loop(inst: IpInstance) -> IpModelLists:
+    """Assemble variables, balance/linking constraints, and the objective."""
+    s, k, lam = inst.s, inst.k, inst.lam
+    n = inst.n_runs
+    pairs = inst.column_pairs
+    model = IpModelLists()
+
+    for i in range(1, n + 1):
+        for j in inst.free_columns:
+            for m in range(1, s + 1):
+                model.variables.append(Variable(_x(i, j, m), "binary"))
+    for i in range(1, n + 1):
+        for c in range(1, len(pairs) + 1):
+            for l in range(1, s * s + 1):
+                model.variables.append(Variable(_z(i, c, l), "binary"))
+
+    deltas = _deviations(inst)
+    model.variables.extend(deltas)
+
+    splits: list[tuple[Variable, Variable, Variable]] = []
+    if inst.p == 1:
+        for d in deltas:
+            plus_name, minus_name, _ = _parts(d.name)
+            plus = Variable(plus_name, "general", 0, max(d.upper, 0))
+            minus = Variable(minus_name, "general", 0, max(-d.lower, 0))
+            model.variables.extend([plus, minus])
+            splits.append((d, plus, minus))
+        model.linear_objective = [(1, v.name) for _, p_, m_ in splits for v in (p_, m_)]
+    else:
+        model.quadratic_objective = [(1, d.name) for d in deltas]
+
+    add = model.constraints.append
+    for j in list(inst.free_columns)[:-1]:
+        for m in range(1, s + 1):
+            add(
+                Constraint(
+                    f"aoa1_{j}_{m}",
+                    tuple((1, _x(i, j, m)) for i in range(1, n + 1)),
+                    "=",
+                    lam * s,
+                )
+            )
+    for m in range(1, s + 1):
+        add(
+            Constraint(
+                f"aoa1k_{m}",
+                tuple((1, _x(i, k, m)) for i in range(1, n + 1)) + ((-1, f"d1_{m}"),),
+                "=",
+                lam * s,
+            )
+        )
+    for i in range(1, n + 1):
+        for j in inst.free_columns:
+            add(
+                Constraint(
+                    f"aoa2_{i}_{j}",
+                    tuple((1, _x(i, j, m)) for m in range(1, s + 1)),
+                    "=",
+                    1,
+                )
+            )
+    head = canonical_head(s, lam)
+    for c in (1, 2):  # pinned column c against free column j: aoa31 with d2, aoa32 with d3
+        for j in inst.free_columns:
+            for m in range(1, s + 1):
+                for mp in range(1, s + 1):
+                    rows = (np.flatnonzero(head[:, c - 1] == mp) + 1).tolist()
+                    add(
+                        Constraint(
+                            f"aoa3{c}_{j}_{m}_{mp}",
+                            tuple((1, _x(i, j, m)) for i in rows)
+                            + ((-1, f"d{c + 1}_{m}_{mp}_{j}"),),
+                            "=",
+                            lam,
+                        )
+                    )
+    for i in range(1, n + 1):
+        for c, (j1, j2) in enumerate(pairs, start=1):
+            add(
+                Constraint(
+                    f"aoaz1_{i}_{c}",
+                    tuple((l, _z(i, c, l)) for l in range(1, s * s + 1))
+                    + tuple((-s * m, _x(i, j1, m)) for m in range(1, s + 1))
+                    + tuple((-m, _x(i, j2, m)) for m in range(1, s + 1)),
+                    "=",
+                    -s,
+                )
+            )
+    for i in range(1, n + 1):
+        for c in range(1, len(pairs) + 1):
+            add(
+                Constraint(
+                    f"aoaz2_{i}_{c}",
+                    tuple((1, _z(i, c, l)) for l in range(1, s * s + 1)),
+                    "=",
+                    1,
+                )
+            )
+    for c in range(1, len(pairs) + 1):
+        for l in range(1, s * s + 1):
+            add(
+                Constraint(
+                    f"aoaz3_{c}_{l}",
+                    tuple((1, _z(i, c, l)) for i in range(1, n + 1))
+                    + ((-1, f"d0_{c}_{l}"),),
+                    "=",
+                    lam,
+                )
+            )
+    for d, plus, minus in splits:
+        add(
+            Constraint(
+                _parts(d.name)[2],
+                ((1, d.name), (-1, plus.name), (1, minus.name)),
+                "=",
+                0,
+            )
+        )
+    model.validate()
+    return model
+
+
+def add_symmetry_loop(model: IpModelLists, inst: IpInstance) -> IpModelLists:
+    """Append the variable-tying equalities for the declared automorphism."""
+    if inst.symmetry is None:
+        raise ValueError("instance declares no symmetry")
+    s = inst.s
+    add = model.constraints.append
+    if inst.symmetry in ("semicyclic", "both") and inst.m_bar < s:
+        m_bar = inst.m_bar
+        g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
+        sigma = _prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))
+        for i in range(1, inst.n_runs + 1):
+            for j in inst.free_columns:
+                for m in range(1, s + 1):
+                    fam = "sim1" if m < m_bar else ("sim2" if m < s else "sim3")
+                    a, b = _x(i, j, m), _x(sigma[i - 1], j, g[m - 1])
+                    if a == b:
+                        continue
+                    add(Constraint(f"{fam}_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))
+    if inst.symmetry in ("klein", "both"):
+        sigma0 = _prefix_row_map(inst, lambda u, v: (v, u))  # the prefix swap
+        for i in range(1, inst.n_runs + 1):
+            for m in range(1, s + 1):
+                for j, swapped in ((3, 4), (4, 3)):
+                    add(
+                        Constraint(
+                            f"sim0{j}_{i}_{m}",
+                            ((1, _x(i, j, m)), (-1, _x(sigma0[i - 1], swapped, m))),
+                            "=",
+                            0,
+                        )
+                    )
+        for i in range(1, inst.n_runs + 1):
+            for j in range(5, inst.k + 1):
+                for m in range(1, s + 1):
+                    a, b = _x(i, j, m), _x(sigma0[i - 1], j, m)
+                    if a == b:
+                        continue
+                    add(Constraint(f"sim034_{i}_{j}_{m}", ((1, a), (-1, b)), "=", 0))
+    model.validate()
+    return model
+
+
+def _term_tokens(terms, first_bare: bool = True) -> list[str]:
+    tokens = []
+    for idx, (coef, name) in enumerate(terms):
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        body = name if mag == 1 else f"{mag} {name}"
+        if idx == 0 and first_bare:
+            tokens.append(body if coef > 0 else f"- {body}")
+        else:
+            tokens.append(f"{sign} {body}")
+    return tokens
+
+
+def _wrap(head: str, tokens: list[str], out: list[str], width: int = _LP_WIDTH) -> None:
+    line = head
+    for tok in tokens:
+        if line and len(line) + 1 + len(tok) > width:
+            out.append(line)
+            line = "   " + tok
+        else:
+            line = tok if not line else f"{line} {tok}"
+    out.append(line)
+
+
+def emit_lp_loop(model: IpModelLists) -> str:
+    """Deterministic CPLEX-LP text for the model."""
+    model.validate()
+    out: list[str] = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize"]
+    tokens = _term_tokens(model.linear_objective)
+    if model.quadratic_objective:
+        qt = _term_tokens(
+            [(2 * c, f"{n} ^2") for c, n in model.quadratic_objective],
+            first_bare=not tokens,
+        )
+        qt[0] = f"[ {qt[0]}" if not tokens else f"+ [ {qt[0].lstrip('+ ')}"
+        qt[-1] += " ] / 2"
+        tokens += qt
+    _wrap(" obj:", tokens, out)
+    out.append("Subject To")
+    for c in model.constraints:
+        tokens = _term_tokens(c.terms) + [c.relation, str(c.rhs)]
+        _wrap(f" {c.name}:", tokens, out)
+    out.append("Bounds")
+    for v in model.variables:
+        if v.kind == "general":
+            out.append(f" {v.lower} <= {v.name} <= {v.upper}")
+    generals = [v.name for v in model.variables if v.kind == "general"]
+    if generals:
+        out.append("Generals")
+        _wrap("", generals, out)
+    binaries = [v.name for v in model.variables if v.kind == "binary"]
+    if binaries:
+        out.append("Binaries")
+        _wrap("", binaries, out)
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def _parse_terms(tokens: list[str]) -> list[tuple[int, str]]:
+    terms = []
+    sign, coef = 1, None
+    for tok in tokens:
+        if tok == "+":
+            sign, coef = 1, None
+        elif tok == "-":
+            sign = -1
+            coef = None
+        elif tok.isdecimal():
+            coef = int(tok)
+        else:
+            terms.append((sign * (1 if coef is None else coef), tok))
+            sign, coef = 1, None
+    return terms
+
+
+def parse_lp_loop(text: str) -> IpModelLists:
+    """Parse the subset of LP format produced by ``emit_lp``."""
+    lines = [l for l in text.splitlines() if not l.lstrip().startswith("\\")]
+    section = None
+    bodies: dict[str, list[str]] = {}
+    for line in lines:
+        stripped = line.strip()
+        if stripped in ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End"):
+            section = stripped
+            bodies.setdefault(section, [])
+            continue
+        if section is None or not stripped:
+            continue
+        bodies[section].append(line)
+
+    if "Minimize" not in bodies:
+        raise ValueError("LP text has no Minimize section")
+    if "End" not in bodies:
+        raise ValueError("LP text has no End marker")
+
+    model = IpModelLists()
+
+    obj_tokens = " ".join(bodies.get("Minimize", [])).split()
+    if obj_tokens and obj_tokens[0] == "obj:":
+        obj_tokens = obj_tokens[1:]
+    if "[" in obj_tokens:
+        b = obj_tokens.index("[")
+        linear_part, quad_part = obj_tokens[:b], obj_tokens[b + 1 :]
+        if linear_part and linear_part[-1] == "+":
+            linear_part = linear_part[:-1]
+        close = quad_part.index("]")
+        if quad_part[close : close + 3] != ["]", "/", "2"]:
+            raise ValueError("quadratic block must end with ] / 2")
+        quad_tokens = quad_part[:close]
+        squares = []
+        for coef, name in _parse_terms([t for t in quad_tokens if t != "^2"]):
+            if coef % 2:
+                raise ValueError("quadratic coefficients must be doubled inside [ ]")
+            squares.append((coef // 2, name))
+        model.quadratic_objective = squares
+        model.linear_objective = _parse_terms(linear_part)
+    else:
+        model.linear_objective = _parse_terms(obj_tokens)
+
+    body = " ".join(bodies.get("Subject To", []))
+    pieces = re.split(r"(?=\b[A-Za-z]\w*:)", body)
+    for piece in pieces:
+        piece = piece.strip()
+        if not piece:
+            continue
+        name, rest = piece.split(":", 1)
+        tokens = rest.split()
+        rel_idx = next(i for i, t in enumerate(tokens) if t in ("=", "<=", ">="))
+        terms = _parse_terms(tokens[:rel_idx])
+        model.constraints.append(
+            Constraint(
+                name=name.strip(),
+                terms=tuple(terms),
+                relation=tokens[rel_idx],
+                rhs=int(tokens[rel_idx + 1]),
+            )
+        )
+
+    bounds: dict[str, tuple[int, int]] = {}
+    for line in bodies.get("Bounds", []):
+        m = re.fullmatch(r"\s*(-?\d+)\s*<=\s*(\w+)\s*<=\s*(-?\d+)\s*", line)
+        if not m:
+            raise ValueError(f"unsupported bounds line: {line!r}")
+        bounds[m.group(2)] = (int(m.group(1)), int(m.group(3)))
+    for name in " ".join(bodies.get("Binaries", [])).split():
+        model.variables.append(Variable(name, "binary"))
+    for name in " ".join(bodies.get("Generals", [])).split():
+        lo, hi = bounds[name]
+        model.variables.append(Variable(name, "general", lo, hi))
+    model.validate()
+    return model
+
+
+def emit_mps_loop(model: IpModelLists) -> str:
+    """Free-format MPS emission (secondary to the LP format)."""
+    model.validate()
+    out = ["NAME          AOAMODEL", "ROWS", " N  obj"]
+    for c in model.constraints:
+        tag = {"=": "E", "<=": "L", ">=": "G"}[c.relation]
+        out.append(f" {tag}  {c.name}")
+    lin = {}
+    for coef, name in model.linear_objective:
+        lin[name] = lin.get(name, 0) + coef
+    by_var: dict[str, list[tuple[str, int]]] = {}
+    for c in model.constraints:
+        for coef, name in c.terms:
+            by_var.setdefault(name, []).append((c.name, coef))
+    out.append("COLUMNS")
+    out.append("    MARKER                 'MARKER'                 'INTORG'")
+    for v in model.variables:
+        entries = by_var.get(v.name, [])
+        if v.name in lin:
+            entries = [("obj", lin[v.name])] + entries
+        for row, coef in entries:
+            out.append(f"    {v.name}  {row}  {coef}")
+    out.append("    MARKER                 'MARKER'                 'INTEND'")
+    out.append("RHS")
+    for c in model.constraints:
+        if c.rhs:
+            out.append(f"    RHS  {c.name}  {c.rhs}")
+    out.append("BOUNDS")
+    for v in model.variables:
+        if v.kind == "binary":
+            out.append(f" BV BND  {v.name}")
+        else:
+            out.append(f" LO BND  {v.name}  {v.lower}")
+            out.append(f" UP BND  {v.name}  {v.upper}")
+    if model.quadratic_objective:
+        out.append("QMATRIX")
+        for coef, name in model.quadratic_objective:
+            out.append(f"    {name}  {name}  {2 * coef}")
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"

@@ -389,6 +389,17 @@ class TestIp:
         text = mps.read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
 
+    def test_verbose_times_each_stage_on_stderr_only(self, tmp_path):
+        argv = ["ip", 3, 5, "--p", 2, "--sym", "semicyclic:2"]
+        quiet = run_child(*argv, "-o", tmp_path / "q.lp", "--mps", tmp_path / "q.mps")
+        verbose = run_child("--verbose", *argv, "-o", tmp_path / "v.lp", "--mps", tmp_path / "v.mps")
+        assert quiet.stdout.replace(b"q.", b"v.") == verbose.stdout
+        assert quiet.stderr == b""
+        for suffix in ("lp", "mps"):
+            assert (tmp_path / f"q.{suffix}").read_bytes() == (tmp_path / f"v.{suffix}").read_bytes()
+        for stage in ("build", "lp", "mps"):
+            assert re.search(rf"ip {stage}: \d+\.\d{{3}} s".encode(), verbose.stderr)
+
     def test_semicyclic_ties_appear_in_lp(self, capsys, tmp_path):
         lp = tmp_path / "sym.lp"
         code, _, _ = run(

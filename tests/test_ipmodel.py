@@ -13,7 +13,10 @@ import aoakit.arrays as arrays_mod
 import aoakit.ipmodel as ipmodel_mod
 from aoakit.arrays import Array, cyclic_oa, is_oa, tolerance, unbalance
 from aoakit.ipmodel import (
+    Constraint,
     IpInstance,
+    IpModel,
+    Variable,
     add_symmetry,
     arrange_canonical,
     build_model,
@@ -29,7 +32,17 @@ from aoakit.ipmodel import (
     verify_solution,
 )
 
-from oracles import exhaustive_optimum_loop, prefix_constraints_loop, verify_solution_loop
+from oracles import (
+    _wrap,
+    add_symmetry_loop,
+    build_model_loop,
+    emit_lp_loop,
+    emit_mps_loop,
+    exhaustive_optimum_loop,
+    parse_lp_loop,
+    prefix_constraints_loop,
+    verify_solution_loop,
+)
 
 
 def oa_8_4_2() -> Array:
@@ -460,6 +473,48 @@ class TestLpFormat:
         with pytest.raises(ValueError):
             parse_lp("Maximize\n obj: x\nEnd")
 
+    @staticmethod
+    def _lp(objective=" obj: x + y", rows=" c1: x + y = 1", generals="", bounds=""):
+        return (f"Minimize\n{objective}\nSubject To\n{rows}\nBounds\n{bounds}\n"
+                f"Generals\n{generals}\nBinaries\n x y\nEnd\n")
+
+    def test_parse_accepts_the_hand_written_frame(self):
+        model = parse_lp(self._lp(rows=" c1: x - 2 y >= -1\n c2: - x = 0"))
+        assert list(model.constraints) == [
+            Constraint("c1", ((1, "x"), (-2, "y")), ">=", -1),
+            Constraint("c2", ((-1, "x"),), "=", 0),
+        ]
+
+    def test_parse_rejects_a_constraint_without_relation(self):
+        with pytest.raises(ValueError, match="constraint 'c1'"):
+            parse_lp(self._lp(rows=" c1: x + y"))
+
+    def test_parse_rejects_a_relation_without_right_hand_side(self):
+        with pytest.raises(ValueError, match="constraint 'c2'"):
+            parse_lp(self._lp(rows=" c1: x = 1\n c2: x + y ="))
+
+    def test_parse_rejects_a_general_variable_without_bounds(self):
+        with pytest.raises(ValueError, match="general variable 'g' has no Bounds line"):
+            parse_lp(self._lp(generals=" g"))
+
+    def test_parse_rejects_an_unclosed_quadratic_block(self):
+        with pytest.raises(ValueError, match="objective 'obj'"):
+            parse_lp(self._lp(objective=" obj: x + [ 2 y ^2"))
+
+    @pytest.mark.parametrize("rows, name", [
+        (" c1: x = 1\n c2: x = y = 1", "constraint 'c2'"),
+        (" c1: x = 1 + y", "constraint 'c1'"),
+        (" c1: x = y", "constraint 'c1'"),
+        (" x + y = 1", "before any constraint name"),
+    ], ids=["two relations", "terms after the relation", "named right-hand side", "no name"])
+    def test_parse_rejects_other_malformed_rows(self, rows, name):
+        with pytest.raises(ValueError, match=name):
+            parse_lp(self._lp(rows=rows))
+
+    def test_parse_keeps_the_undeclared_name_message(self):
+        with pytest.raises(ValueError, match=re.escape("undeclared variables referenced: ['w']")):
+            parse_lp(self._lp(rows=" c1: x + w = 1"))
+
     # SHA-256 of the LP and MPS text, captured from the implementation that
     # wrote the rows of each pinned column and each deviation family's bounds
     # out separately
@@ -530,3 +585,127 @@ class TestSolutionIo:
         assert values
         assert all(v == 0.0 for v in values.values())
         assert any(n.startswith("x_") for n in values)
+
+
+@st.composite
+def small_instances(draw):
+    s, k = draw(st.integers(2, 5)), draw(st.integers(3, 7))
+    symmetry = draw(st.sampled_from([None, "semicyclic"] + (["klein", "both"] if k >= 4 else [])))
+    m_bar = draw(st.integers(1, s)) if symmetry in ("semicyclic", "both") else None
+    return IpInstance(s=s, k=k, lam=draw(st.integers(1, 2)), p=draw(st.integers(1, 2)),
+                      epsilon=draw(st.integers(1, 2)), symmetry=symmetry, m_bar=m_bar)
+
+
+class TestArrayModel:
+    """The array-backed model against the earlier one made of lists."""
+
+    @staticmethod
+    def _both(inst):
+        new, old = build_model(inst), build_model_loop(inst)
+        if inst.symmetry is not None:
+            new, old = add_symmetry(new, inst), add_symmetry_loop(old, inst)
+        return new, old
+
+    @staticmethod
+    def _fields(model):
+        return [list(model.variables), list(model.constraints),
+                list(model.linear_objective), list(model.quadratic_objective)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_text_fields_and_parse_equal_the_list_model(self, inst):
+        new, old = self._both(inst)
+        assert self._fields(new) == self._fields(old)
+        text = emit_lp(new)
+        assert text == emit_lp_loop(old)
+        assert emit_mps(new) == emit_mps_loop(old)
+        assert self._fields(parse_lp(text)) == self._fields(parse_lp_loop(text))
+
+    # rows of tokens up to 90 characters (longer than a line) after heads that may be empty
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["", " c:", " " + "h" * 80]),
+                              st.lists(st.integers(1, 90), max_size=12)), min_size=1, max_size=6))
+    def test_wrapped_rows_equal_the_per_token_wrap(self, rows):
+        heads = [head for head, _ in rows]
+        tokens = ["t" * width for _, widths in rows for width in widths]
+        indptr = np.cumsum([0] + [len(widths) for _, widths in rows])
+        want, start = [], 0
+        for head, widths in rows:
+            _wrap(head, tokens[start : start + len(widths)], want)
+            start += len(widths)
+        got = ipmodel_mod._wrap_rows(heads, np.array(tokens, dtype=object), indptr)
+        assert got == "\n".join(want)
+
+    # SHA-256 of the LP and MPS text of the model built from lists of objects
+    @pytest.mark.parametrize("kw, lp_sha, mps_sha", [
+        (dict(s=7, k=8, lam=1, p=1),
+         "e2bd5be5ab1c2b904903d31c84d082eee846e024c5e58ee0aa86fe73cc93038d",
+         "33e3e0aba9072090ea29c6f90cd09094be25bba0f26caa87da661d601ab79769"),
+        (dict(s=6, k=7, lam=1, p=2, symmetry="both", m_bar=3),
+         "050b72e1c57d0cef70731349a7a8abf1f72110ddacce4e3b5235814605ed706d",
+         "ae2af62fc36e797640aa02597c10ef76e9e79f510d4ef20b630111cc51bde548"),
+    ], ids=["7-8-1-p1", "6-7-1-p2-both3"])
+    def test_benchmark_model_text_is_pinned(self, kw, lp_sha, mps_sha):
+        inst = IpInstance(**kw)
+        model = build_model(inst)
+        if inst.symmetry is not None:
+            model = add_symmetry(model, inst)
+        text = emit_lp(model)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == lp_sha
+        assert hashlib.sha256(emit_mps(model).encode("ascii")).hexdigest() == mps_sha
+        assert parse_lp(text).constraints == model.constraints
+
+    def test_len_builds_no_objects(self, monkeypatch):
+        model = build_model(IpInstance(s=3, k=5, p=1))
+        monkeypatch.setattr(Variable, "__init__", None)
+        monkeypatch.setattr(Constraint, "__init__", None)
+        assert (len(model.variables), len(model.constraints)) == (576, 255)
+        assert (len(model.linear_objective), len(model.quadratic_objective)) == (168, 0)
+        with pytest.raises(TypeError):
+            list(model.variables)
+
+    def test_views_are_built_on_every_read(self):
+        model = build_model(IpInstance(s=2, k=4, p=2))
+        assert model.constraints is not model.constraints
+        before = len(model.constraints)
+        add_symmetry(model, IpInstance(s=2, k=4, p=2, symmetry="klein"))
+        assert len(list(model.constraints)) > before
+
+    def test_build_emit_and_ties_do_not_validate(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(IpModel, "validate", refuse)
+        inst = IpInstance(s=3, k=5, symmetry="both", m_bar=2)
+        model = add_symmetry(build_model(inst), inst)
+        emit_lp(model), emit_mps(model)
+
+    def test_model_from_lists_equals_the_built_model(self):
+        for p in (1, 2):
+            built = build_model(IpInstance(s=3, k=4, p=p))
+            again = IpModel(list(built.linear_objective), list(built.quadratic_objective),
+                            variables=list(built.variables), constraints=list(built.constraints))
+            assert again == built
+            assert again != build_model(IpInstance(s=3, k=4, p=p, epsilon=2))
+
+    def test_ties_need_the_model_of_their_instance(self):
+        with pytest.raises(ValueError, match="not built for this instance"):
+            add_symmetry(build_model(IpInstance(s=3, k=4)), IpInstance(s=3, k=5, symmetry="klein"))
+
+    @pytest.mark.parametrize("variables, terms, message", [
+        ([Variable("x", "binary"), Variable("x", "binary")], [], "duplicate variable names"),
+        ([Variable("x y", "binary")], [], "variable names must be word-shaped"),
+        ([Variable("x", "binary")], [(1, "w")], "undeclared variables referenced: ['w']"),
+    ])
+    def test_model_from_lists_validates(self, variables, terms, message):
+        rows = [Constraint("c", tuple(terms), "=", 1)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IpModel(variables=variables, constraints=rows)
+
+    def test_validate_checks_index_ranges(self):
+        model = build_model(IpInstance(s=2, k=3))
+        model.validate()
+        model.cols = model.cols.copy()
+        model.cols[0] = len(model.names)
+        with pytest.raises(ValueError, match=re.escape(f"undeclared variables referenced: [{len(model.names)}]")):
+            model.validate()

@@ -1,6 +1,8 @@
 import itertools
+import logging
 import re
 import time
+import types
 
 import numpy as np
 import pytest
@@ -272,6 +274,36 @@ class TestLocalSearch:
         assert front.complete is False
         assert front.members
         assert elapsed < cfg.time_budget + 0.8
+
+    def test_time_budget_stops_within_one_move_on_a_fake_clock(self, monkeypatch, caplog):
+        # The clock advances one tick per read.  The deadline is read at tick
+        # 0 and every move reads the clock once before it is scored, so a
+        # per-move check scores exactly the moves of ticks 1..200.  Unbudgeted,
+        # this search examines 2, 3, 8, 15, 71 and 450 moves in its six
+        # passes, so the deadline falls 101 moves into the sixth pass.
+        ticks, reads, scored = itertools.count(), [], []
+
+        def monotonic():
+            reads.append(next(ticks))
+            return float(reads[-1])
+
+        change = search._PairTables.change
+
+        def counted_change(tables, driven):
+            scored.append(reads[-1])
+            return change(tables, driven)
+
+        clock = types.SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
+        monkeypatch.setattr(search, "time", clock)
+        monkeypatch.setattr(search._PairTables, "change", counted_change)
+        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=200.5)
+        with caplog.at_level(logging.INFO, logger="aoakit.search"):
+            front = local_pareto_search(9, 5, 3, cfg)
+        assert front.complete is False
+        assert scored == list(range(1, 201))  # one move per read, none after the deadline
+        assert reads[-1] == 201
+        assert "pass 5: examined 71 " in caplog.text
+        assert "pass 6: time budget ran out" in caplog.text
 
     def test_requires_square_divisor(self):
         with pytest.raises(ValueError):
