@@ -495,28 +495,45 @@ class ModelCheck:
 
 
 def evaluate_model(model: IpModel, assignment: dict[str, float]) -> ModelCheck:
-    """Objective value and every violated bound or constraint (1e-6 slack)."""
-    val = lambda name: float(assignment.get(name, 0.0))
+    """Objective value and every violated bound or constraint (1e-6 slack).
+
+    Bounds and rows are read from the variable table and the CSR rows.  Each
+    row's left-hand side adds its terms from the left, as ``sum`` does, so
+    the values in the messages do not depend on numpy's summation order.  A
+    binary variable that is not finite is reported as not integral.
+    """
+    x = np.array([float(assignment.get(name, 0.0)) for name in model.names], dtype=np.float64)
+    values, lower, upper = x.tolist(), model.lower.tolist(), model.upper.tolist()
+    outside = (x < model.lower - 1e-6) | (x > model.upper + 1e-6)
+    fractional = (model.kinds == _KINDS.index("binary")) & ~(np.abs(x - np.round(x)) <= 1e-6)
     violations = []
-    for v in model.variables:
-        x = val(v.name)
-        if x < v.lower - 1e-6 or x > v.upper + 1e-6:
-            violations.append(f"bound {v.name}={x} outside [{v.lower},{v.upper}]")
-        if v.kind == "binary" and abs(x - round(x)) > 1e-6:
-            violations.append(f"binary {v.name}={x} not integral")
-    for c in model.constraints:
-        lhs = sum(coef * val(name) for coef, name in c.terms)
-        bad = (
-            abs(lhs - c.rhs) > 1e-6
-            if c.relation == "="
-            else lhs > c.rhs + 1e-6
-            if c.relation == "<="
-            else lhs < c.rhs - 1e-6
-        )
-        if bad:
-            violations.append(f"constraint {c.name}: lhs={lhs} {c.relation} {c.rhs}")
-    objective = sum(coef * val(name) for coef, name in model.linear_objective)
-    objective += sum(coef * val(name) ** 2 for coef, name in model.quadratic_objective)
+    for v in np.flatnonzero(outside | fractional).tolist():
+        name, value = model.names[v], values[v]
+        if outside[v]:
+            violations.append(f"bound {name}={value} outside [{lower[v]},{upper[v]}]")
+        if fractional[v]:
+            violations.append(f"binary {name}={value} not integral")
+    terms = model.coefs * x[model.cols]
+    lengths = np.diff(model.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    falling, starts = lengths[order], model.indptr[:-1][order]
+    sums = np.zeros(len(order))
+    # rows with a t-th term are a prefix of the longest-first order
+    lives = np.searchsorted(-falling, -np.arange(falling.max(initial=0)), side="left")
+    for t, live in enumerate(lives.tolist()):
+        sums[:live] += terms[starts[:live] + t]
+    lhs = np.empty_like(sums)
+    lhs[order] = sums
+    rhs, relations = model.rhs, model.relations
+    bad = np.choose(relations, (np.abs(lhs - rhs) > 1e-6, lhs > rhs + 1e-6, lhs < rhs - 1e-6))
+    for r in np.flatnonzero(bad).tolist():
+        value = lhs[r].item() if lengths[r] else 0  # sum() of no terms is the int 0
+        violations.append(f"constraint {model.row_names[r]}: "
+                          f"lhs={value} {_RELATIONS[relations[r]]} {rhs[r].item()}")
+    lin = zip(model.lin_coefs.tolist(), model.lin_vars.tolist())
+    quad = zip(model.quad_coefs.tolist(), model.quad_vars.tolist())
+    objective = sum(c * values[v] for c, v in lin)
+    objective += sum(c * values[v] ** 2 for c, v in quad)
     return ModelCheck(objective=objective, violations=violations)
 
 

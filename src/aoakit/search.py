@@ -14,11 +14,16 @@ Compressed encodings (``bicyclic``: run orbits under ((1..s)|(1..r));
 over core cells only.  A member is expanded by one gather over the
 generator's powers (``symmetry._orbit_gather``), block-major: the fixed
 rows, then g^0 of every core row, then g^1 of every core row, and so on.
-Every move is scored by the member's pair-count tables (``_PairTables``)
-over the expanded cells it sets; only an undominated move is expanded.
+Moves are scored in blocks (``_BlockScorer``): the scan builds the moves of
+one member and stage in scan order as index arrays, in blocks whose scoring
+stays within ``arrays._CHUNK_BYTES``, and one offset ``np.bincount`` over the
+expanded cells each move sets gives a block's exact count changes over the
+whole pair-count table.  The first move of a block that no front member
+dominates or equals is the one inserted, as if the moves were scored one
+at a time; only that move is expanded.
 
-A ``time_budget`` is checked before every move a scan visits, so a search
-stops within one evaluation of running out and reports ``complete`` False.
+A ``time_budget`` is checked before every block a scan scores, so a search
+stops within one block of running out and reports ``complete`` False.
 With ``--verbose`` every pass logs the moves it examined, the front size,
 the best objectives, its insertions and its time.
 
@@ -47,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import (
+    _CHUNK_BYTES,
     Array,
     Exact,
     _count_table,
@@ -182,14 +188,19 @@ class _Encoder:
         self.powers = _powers(g)
         self.fixed = np.ones((n_fixed, k), dtype=np.int64)
         self.core_shape = ((n_runs - n_fixed) // len(self.powers[0]), k)
-        # expanded cell (offset_t + i, j) is core cell (i, sources[t, j]) under
-        # levels[t], so per power t core column c drives the one j sourced from c
-        levels, sources = (table.tolist() for table in self.powers)
-        offsets = [n_fixed + t * self.core_shape[0] for t in range(len(levels))]
-        self.drives = [
-            [(lv, offset, row.index(c)) for lv, offset, row in zip(levels, offsets, sources)]
-            for c in range(k)
-        ]
+        # per power t, core cell (i, c) at level v sets expanded cell
+        # (drive_rows[t] + i, drive_cols[c, t]) to 0-based level drive_levels[v, t]
+        levels, sources = self.powers
+        self.drive_rows = n_fixed + self.core_shape[0] * np.arange(len(levels))
+        self.drive_cols = np.argsort(sources, axis=1).T  # sources[t, j] = c
+        self.drive_levels = (levels - 1).T
+        # partners[j] are the columns x != j; the pair-table entry of (j at
+        # level n, x at level q) is entry[j, x] + n * high[j, x] + q * low[j, x]
+        self.partners = np.array([[x for x in range(k) if x != j] for j in range(k)]).reshape(k, -1)
+        before = self.partners > np.arange(k)[:, None]  # j is the pair's first column
+        self.entry = _pair_rows(k)[np.arange(k)[:, None], self.partners] * (s * s)
+        self.high = np.where(before, s, 1)
+        self.low = np.where(before, 1, s)
 
     def random_cells(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "quasicyclic":
@@ -204,56 +215,93 @@ class _Encoder:
         orbits = _orbit_gather(self.powers, cells).reshape(-1, cells.shape[1])
         return Array(np.concatenate([self.fixed, orbits]), self.s)
 
-    def driven(self, move) -> list[tuple[int, int, int]]:
-        """0-based (row, column, level) of every expanded cell a move of core cells sets."""
-        return [
-            (offset + i, j, level_map[level] - 1)
-            for (i, c), level in move
-            for level_map, offset, j in self.drives[c]
-        ]
+
+class _BlockScorer:
+    """Exact objectives of blocks of moves of one member, from its pair-count table.
+
+    A set cell of column j going from level o to level n moves one count of
+    every partner column x from code (o, q) to code (n, q), q being x's
+    level in that row once the move's earlier cells are set.  One offset
+    ``np.bincount`` of the +1 and -1 codes of a block gives its moves x
+    C(k,2)*s^2 count changes.
+    """
+
+    def __init__(self, enc: _Encoder, array: Array, p: int):
+        self.enc, self.p = enc, p
+        self.lam = array.n_runs // array.n_levels**2
+        self.levels = array.cells - 1
+        self.table = _count_table(array, 2)
+
+    def objectives(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (Unb_{p,2}, Tol_2) of every move of an M x r x 3 block."""
+        enc, width = self.enc, self.table.size
+        core, col, level = moves[..., 0], moves[..., 1], moves[..., 2]
+        rows = core[..., None] + enc.drive_rows  # M x r x size
+        cols = enc.drive_cols[col]
+        new = enc.drive_levels[level]
+        old = self.levels[rows, cols]
+        partners = enc.partners[cols]  # M x r x size x (k - 1)
+        seen = self.levels[rows[..., None], partners]
+        if moves.shape[1] == 2:
+            # the second cell's row holds the first one's new level when they share it
+            same = np.flatnonzero(core[:, 0] == core[:, 1])
+            first, second = cols[same, 0], cols[same, 1]
+            power = np.arange(rows.shape[2])
+            seen[same[:, None], 1, power, first - (first > second)] = new[same, 0]
+        common = enc.entry[cols] + seen * enc.low[cols]
+        del partners, seen
+        common += np.arange(0, len(moves) * width, width).reshape(-1, 1, 1, 1)
+        high = enc.high[cols]
+        delta = np.bincount((common + new[..., None] * high).ravel(), minlength=len(moves) * width)
+        delta -= np.bincount((common + old[..., None] * high).ravel(), minlength=len(moves) * width)
+        del common, high
+        dev = delta.reshape(len(moves), width)
+        dev += self.table.reshape(1, width)
+        dev -= self.lam
+        np.abs(dev, out=dev)
+        tol = dev.max(axis=1)
+        if self.p == 2:
+            dev *= dev
+        return dev.sum(axis=1), tol
 
 
-class _PairTables:
-    """Per-column-pair level-pair counts giving exact objectives after a batch of changes."""
+def _block_moves(member: "FrontMember", stage: int) -> int:
+    """Moves per block of a stage, so that a block's scoring stays within ``_CHUNK_BYTES``.
 
-    def __init__(self, array: Array, p: int):
-        self.s, self.p = array.n_levels, p
-        self.lam = lam = array.n_runs // (self.s * self.s)
-        self.levels = (array.cells - 1).tolist()
-        table = _count_table(array, 2)
-        dev = np.abs(table - lam)
-        self.counts = table.tolist()
-        self.unb = int((dev**p).sum())
-        self.row_dev = dev.max(axis=1).tolist()
-        # rows by falling deviation: the first a batch leaves alone is the untouched maximum
-        self.by_dev = sorted(range(len(self.row_dev)), key=self.row_dev.__getitem__, reverse=True)
-        self.pair_rows = _pair_rows(array.n_factors).tolist()
+    Scoring holds two dense moves x C(k,2)*s^2 count arrays and a few arrays
+    of (expanded cells per core cell, rounded up) x (k - 1) codes per set cell.
+    """
+    arr = member.array
+    width = math.comb(arr.n_factors, 2) * arr.n_levels**2
+    driven = -(-arr.n_runs // member.cells.shape[0])
+    codes = stage * driven * (arr.n_factors - 1)
+    return max(1, _CHUNK_BYTES // (8 * (2 * width + 8 * codes)))
 
-    def change(self, cells) -> ObjectiveVector:
-        """Objectives after setting every 0-based (row, column, level) of
-        ``cells`` in turn, without mutating the tables."""
-        s, lam, p = self.s, self.lam, self.p
-        rows: dict[int, list[int]] = {}  # touched array rows, as set so far
-        delta: dict[int, dict[int, int]] = {}  # table row -> code -> count change
-        for i, j, level in cells:
-            row = rows.setdefault(i, self.levels[i].copy())
-            old, row[j] = row[j], level
-            for c, r in enumerate(self.pair_rows[j]):
-                if c != j and old != level:
-                    codes = delta.setdefault(r, {})
-                    for lv, d in ((old, -1), (level, 1)):
-                        code = lv * s + row[c] if j < c else row[c] * s + lv
-                        codes[code] = codes.get(code, 0) + d
-        unb = self.unb
-        tol = next((self.row_dev[r] for r in self.by_dev if r not in delta), 0)
-        for r, codes in delta.items():
-            counts = self.counts[r].copy()
-            for code, d in codes.items():
-                unb += abs(counts[code] + d - lam) ** p - abs(counts[code] - lam) ** p
-                counts[code] += d
-            # |count - lam| is convex: the row's extremes hold its largest deviation
-            tol = max(tol, max(counts) - lam, lam - min(counts))
-        return ObjectiveVector(unb, tol)
+
+def _stage_moves(cells: np.ndarray, s: int, stage: int, lo: int, hi: int) -> np.ndarray:
+    """Moves lo..hi-1 of a scan stage as a block: row m sets (row, column) to level.
+
+    Stage 1 takes the cells in row-major order, and per cell every level but
+    its own, ascending.  Stage 2 takes the cell pairs in
+    ``itertools.combinations`` order, and per pair the two cells' level pairs
+    in lexicographic order.
+    """
+    flat, alt = cells.ravel(), s - 1
+    index = np.arange(lo, hi)
+    if stage == 1:
+        pos, choice = np.divmod(index, alt)
+        pos, choice = pos[:, None], choice[:, None]
+    else:
+        pair, rest = np.divmod(index, alt * alt)
+        # the pairs led by cell q start at starts[q]
+        q = np.arange(len(flat) - 1)
+        starts = q * (2 * len(flat) - q - 1) // 2
+        first = np.searchsorted(starts, pair, side="right") - 1
+        pos = np.stack([first, pair - starts[first] + first + 1], axis=1)
+        choice = np.stack(np.divmod(rest, alt), axis=1)
+    level = choice + 1
+    level += level >= flat[pos]  # skip the cell's own level
+    return np.stack([*np.divmod(pos, cells.shape[1]), level], axis=-1)
 
 
 def _evaluate(enc: _Encoder, cells: np.ndarray, p: int) -> FrontMember:
@@ -262,10 +310,9 @@ def _evaluate(enc: _Encoder, cells: np.ndarray, p: int) -> FrontMember:
     return FrontMember(cells=cells.copy(), array=arr, objective=obj)
 
 
-def _moved(cells: np.ndarray, move) -> np.ndarray:
+def _moved(cells: np.ndarray, move: np.ndarray) -> np.ndarray:
     out = cells.copy()
-    for pos, level in move:
-        out[pos] = level
+    out[move[:, 0], move[:, 1]] = move[:, 2]
     return out
 
 
@@ -284,10 +331,13 @@ class ScanReport:
 def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
     """Visit every radius-r neighbor of every member in the fixed scan order.
 
-    ``visitor(member_index, move)`` gets the neighbor as a tuple of
-    ``((row, column), level)`` pairs, each setting a 0-based cell of the
-    member's ``cells`` to a new level, and returns True when it inserted the
-    neighbor; the scan then stops so the caller can restart it.
+    The neighbors of a member come in blocks of consecutive moves, each
+    sized by ``_block_moves``.  ``visitor(member_index, moves)`` gets a block
+    as an M x r x 3 int64 array: move m sets the 0-based cell
+    ``moves[m, c, :2]`` of the member's ``cells`` to level ``moves[m, c, 2]``
+    for each of its r cells.  It returns the position in the block of the
+    neighbor it inserted, or None; after an insertion the scan stops so the
+    caller can restart it.
     """
     if radius > 2:
         raise ValueError("radius > 2 is not supported (search need not terminate)")
@@ -295,25 +345,15 @@ def neighborhood_scan(front: ParetoFront, radius: int, visitor) -> ScanReport:
     snapshot = list(front.members)
     for stage in (1, 2) if radius >= 2 else (1,):
         for idx, member in enumerate(snapshot):
-            current = member.cells.tolist()
-            rows, cols = member.cells.shape
             s = member.array.n_levels
-            flat = [(i, j) for i in range(rows) for j in range(cols)]
-            if stage == 1:
-                moves = (((pos, lv),) for pos in flat for lv in range(1, s + 1))
-            else:
-                moves = (
-                    ((p1, l1), (p2, l2))
-                    for p1, p2 in itertools.combinations(flat, 2)
-                    for l1 in range(1, s + 1)
-                    for l2 in range(1, s + 1)
-                )
-            for move in moves:
-                if any(current[i][j] == lv for (i, j), lv in move):
-                    continue
-                examined += 1
-                if visitor(idx, move):
-                    return ScanReport(changed=True, examined=examined)
+            total = math.comb(member.cells.size, stage) * (s - 1) ** stage
+            step = _block_moves(member, stage)
+            for lo in range(0, total, step):
+                moves = _stage_moves(member.cells, s, stage, lo, min(lo + step, total))
+                hit = visitor(idx, moves)
+                if hit is not None:
+                    return ScanReport(changed=True, examined=examined + hit + 1)
+                examined += len(moves)
     return ScanReport(changed=False, examined=examined)
 
 
@@ -324,22 +364,27 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
 
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
     passes = 0
-    tables: dict[int, _PairTables] = {}
+    scorers: dict[int, _BlockScorer] = {}
 
-    def visitor(idx: int, move) -> bool:
+    def visitor(idx: int, moves: np.ndarray) -> int | None:
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
         member = front.members[idx]
-        if idx not in tables:
-            tables[idx] = _PairTables(member.array, cfg.p)
-        obj = tables[idx].change(enc.driven(move))
+        if idx not in scorers:
+            scorers[idx] = _BlockScorer(enc, member.array, cfg.p)
+        unb, tol = scorers[idx].objectives(moves)
+        objective = lambda m: ObjectiveVector(int(unb[m]), int(tol[m]))
+        bests = np.array(front.objectives(), dtype=np.int64)
+        free = ~((bests[:, :1] <= unb) & (bests[:, 1:] <= tol)).any(axis=0)
+        pos = int(free.argmax()) if free.any() else None  # the first undominated move
         if CROSS_CHECK_DELTA:
-            full = _evaluate(enc, _moved(member.cells, move), cfg.p)
-            assert full.objective == obj, "delta evaluation mismatch"
-        if any(m.objective.dominates_or_equals(obj) for m in front.members):
-            return False
-        cells = _moved(member.cells, move)
-        return front_insert(front, FrontMember(cells, enc.to_array(cells), obj))
+            for m in range(len(moves) if pos is None else pos + 1):
+                full = _evaluate(enc, _moved(member.cells, moves[m]), cfg.p)
+                assert full.objective == objective(m), "delta evaluation mismatch"
+        if pos is not None:
+            cells = _moved(member.cells, moves[pos])
+            front_insert(front, FrontMember(cells, enc.to_array(cells), objective(pos)))
+        return pos
 
     while True:
         began = time.perf_counter()
@@ -354,7 +399,7 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
                 time.perf_counter() - began,
             )
             break
-        tables.clear()
+        scorers.clear()
         logger.info(
             "pass %d: examined %d in %.3f s, front size %d, best %s, inserted %d",
             passes,

@@ -19,7 +19,12 @@ as the reference for the versions that read ``canonical_head``,
 object form (``IpModelLists`` with ``build_model_loop``,
 ``add_symmetry_loop``, ``emit_lp_loop``, ``emit_mps_loop`` and
 ``parse_lp_loop``: lists of ``Variable`` and ``Constraint`` filled one name
-at a time), kept verbatim as the reference for the array-backed model.
+at a time), kept verbatim as the reference for the array-backed model,
+the search's earlier per-move scoring (``driven`` and ``_PairTables``: the
+expanded cells a move sets, and dict-based count changes per move), kept
+verbatim as the reference for the block scorer, and the earlier
+``evaluate_model_loop`` over the object views, kept as the reference for the
+array-backed audit.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from aoakit.arrays import Array, tolerance, unbalance
+from aoakit.arrays import Array, _count_table, _pair_rows, tolerance, unbalance
 from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
     IpInstance,
+    ModelCheck,
     Variable,
     VerificationReport,
     _LP_WIDTH,
@@ -51,7 +57,7 @@ from aoakit.ipmodel import (
     _z,
     canonical_head,
 )
-from aoakit.search import OracleResult
+from aoakit.search import ObjectiveVector, OracleResult
 from aoakit.symmetry import (
     GroupElement,
     SymmetricEncoding,
@@ -375,6 +381,69 @@ class EncoderLoop:
             block = np.where(cells == 1, 1, (moving + t) % (s - 1) + 2)
             blocks.append(block)
         return np.vstack(blocks)
+
+
+# --- search moves: the per-move scoring the block scorer replaced ------------
+
+
+def driven(enc, move) -> list[tuple[int, int, int]]:
+    """0-based (row, column, level) of every expanded cell that a move of the
+    search encoder ``enc``'s core cells sets; ``move`` holds (row, column,
+    level) triples with 1-based levels."""
+    levels, sources = (table.tolist() for table in enc.powers)
+    offsets = [len(enc.fixed) + t * enc.core_shape[0] for t in range(len(levels))]
+    drives = [
+        [(lv, offset, row.index(c)) for lv, offset, row in zip(levels, offsets, sources)]
+        for c in range(enc.core_shape[1])
+    ]
+    return [
+        (offset + i, j, level_map[level] - 1)
+        for i, c, level in move
+        for level_map, offset, j in drives[c]
+    ]
+
+
+class _PairTables:
+    """Per-column-pair level-pair counts giving exact objectives after a batch of changes."""
+
+    def __init__(self, array: Array, p: int):
+        self.s, self.p = array.n_levels, p
+        self.lam = lam = array.n_runs // (self.s * self.s)
+        self.levels = (array.cells - 1).tolist()
+        table = _count_table(array, 2)
+        dev = np.abs(table - lam)
+        self.counts = table.tolist()
+        self.unb = int((dev**p).sum())
+        self.row_dev = dev.max(axis=1).tolist()
+        # rows by falling deviation: the first a batch leaves alone is the untouched maximum
+        self.by_dev = sorted(range(len(self.row_dev)), key=self.row_dev.__getitem__, reverse=True)
+        self.pair_rows = _pair_rows(array.n_factors).tolist()
+
+    def change(self, cells) -> ObjectiveVector:
+        """Objectives after setting every 0-based (row, column, level) of
+        ``cells`` in turn, without mutating the tables."""
+        s, lam, p = self.s, self.lam, self.p
+        rows: dict[int, list[int]] = {}  # touched array rows, as set so far
+        delta: dict[int, dict[int, int]] = {}  # table row -> code -> count change
+        for i, j, level in cells:
+            row = rows.setdefault(i, self.levels[i].copy())
+            old, row[j] = row[j], level
+            for c, r in enumerate(self.pair_rows[j]):
+                if c != j and old != level:
+                    codes = delta.setdefault(r, {})
+                    for lv, d in ((old, -1), (level, 1)):
+                        code = lv * s + row[c] if j < c else row[c] * s + lv
+                        codes[code] = codes.get(code, 0) + d
+        unb = self.unb
+        tol = next((self.row_dev[r] for r in self.by_dev if r not in delta), 0)
+        for r, codes in delta.items():
+            counts = self.counts[r].copy()
+            for code, d in codes.items():
+                unb += abs(counts[code] + d - lam) ** p - abs(counts[code] - lam) ** p
+                counts[code] += d
+            # |count - lam| is convex: the row's extremes hold its largest deviation
+            tol = max(tol, max(counts) - lam, lam - min(counts))
+        return ObjectiveVector(unb, tol)
 
 
 def _act_row(g: GroupElement, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -987,3 +1056,29 @@ def emit_mps_loop(model: IpModelLists) -> str:
             out.append(f"    {name}  {name}  {2 * coef}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
+
+
+def evaluate_model_loop(model, assignment: dict[str, float]) -> ModelCheck:
+    """Objective value and every violated bound or constraint (1e-6 slack)."""
+    val = lambda name: float(assignment.get(name, 0.0))
+    violations = []
+    for v in model.variables:
+        x = val(v.name)
+        if x < v.lower - 1e-6 or x > v.upper + 1e-6:
+            violations.append(f"bound {v.name}={x} outside [{v.lower},{v.upper}]")
+        if v.kind == "binary" and abs(x - round(x)) > 1e-6:
+            violations.append(f"binary {v.name}={x} not integral")
+    for c in model.constraints:
+        lhs = sum(coef * val(name) for coef, name in c.terms)
+        bad = (
+            abs(lhs - c.rhs) > 1e-6
+            if c.relation == "="
+            else lhs > c.rhs + 1e-6
+            if c.relation == "<="
+            else lhs < c.rhs - 1e-6
+        )
+        if bad:
+            violations.append(f"constraint {c.name}: lhs={lhs} {c.relation} {c.rhs}")
+    objective = sum(coef * val(name) for coef, name in model.linear_objective)
+    objective += sum(coef * val(name) ** 2 for coef, name in model.quadratic_objective)
+    return ModelCheck(objective=objective, violations=violations)

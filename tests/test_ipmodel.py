@@ -38,6 +38,7 @@ from oracles import (
     build_model_loop,
     emit_lp_loop,
     emit_mps_loop,
+    evaluate_model_loop,
     exhaustive_optimum_loop,
     parse_lp_loop,
     prefix_constraints_loop,
@@ -620,6 +621,52 @@ class TestArrayModel:
         assert text == emit_lp_loop(old)
         assert emit_mps(new) == emit_mps_loop(old)
         assert self._fields(parse_lp(text)) == self._fields(parse_lp_loop(text))
+
+    # canonical assignments, then some values moved off the grid or out of
+    # bounds and some names dropped
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances(), st.data())
+    def test_evaluate_model_equals_the_object_walk(self, inst, data):
+        model, _ = self._both(inst)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        free = rng.integers(1, inst.s + 1, size=(inst.n_runs, inst.k - 2))
+        head = canonical_head(inst.s, inst.lam)
+        assignment = canonical_assignment(inst, Array(np.column_stack([head, free]), inst.s))
+        shift = st.sampled_from([0.5, -1.0, 1e-7, 3.0, 1 / 3, 2.5e-6, -100.0])
+        for name in data.draw(st.lists(st.sampled_from(model.names), max_size=8)):
+            assignment[name] = assignment.get(name, 0) + data.draw(shift)
+        for name in data.draw(st.lists(st.sampled_from(model.names), max_size=8)):
+            assignment.pop(name, None)
+        got, want = evaluate_model(model, assignment), evaluate_model_loop(model, assignment)
+        assert got == want
+        assert repr(got.objective) == repr(want.objective)
+
+    # random rows of every relation, some empty, over float values
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_evaluate_model_equals_the_object_walk_on_random_rows(self, data):
+        names = [f"v{i}" for i in range(data.draw(st.integers(1, 6)))]
+        kinds = data.draw(st.lists(st.sampled_from(["binary", "general"]),
+                                   min_size=len(names), max_size=len(names)))
+        variables = [Variable(name, kind, *((0, 1) if kind == "binary" else (-2, 3)))
+                     for name, kind in zip(names, kinds)]
+        term = st.tuples(st.integers(-5, 5), st.sampled_from(names))
+        rows = data.draw(st.lists(st.tuples(st.lists(term, max_size=7),
+                                            st.sampled_from(["=", "<=", ">="]),
+                                            st.integers(-3, 3)), max_size=8))
+        model = IpModel(
+            linear_objective=data.draw(st.lists(term, max_size=5)),
+            quadratic_objective=data.draw(st.lists(term, max_size=5)),
+            variables=variables,
+            constraints=[Constraint(f"c{r}", tuple(terms), relation, rhs)
+                         for r, (terms, relation, rhs) in enumerate(rows)],
+        )
+        value = st.floats(-4, 4) | st.integers(-3, 3) | st.sampled_from([0.1, 0.2, 1 / 3])
+        assignment = {name: data.draw(value)
+                      for name in data.draw(st.lists(st.sampled_from(names), unique=True))}
+        got, want = evaluate_model(model, assignment), evaluate_model_loop(model, assignment)
+        assert got == want
+        assert repr(got.objective) == repr(want.objective)
 
     # rows of tokens up to 90 characters (longer than a line) after heads that may be empty
     @settings(max_examples=80, deadline=None)

@@ -2,6 +2,7 @@ import itertools
 import logging
 import re
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -23,7 +24,13 @@ from aoakit.search import (
 )
 from aoakit.symmetry import bicyclic_generator, is_automorphism
 
-from oracles import EncoderLoop, brute_force_optimum_loop, min_unbalance_grid_4_4_2
+from oracles import (
+    EncoderLoop,
+    _PairTables,
+    brute_force_optimum_loop,
+    driven,
+    min_unbalance_grid_4_4_2,
+)
 
 
 def member(unb, tol) -> FrontMember:
@@ -99,6 +106,10 @@ class TestConfigValidation:
             neighborhood_scan(front, 3, lambda i, c: False)
 
 
+def moves_of(block: np.ndarray) -> list[tuple[tuple[int, int, int], ...]]:
+    return [tuple(map(tuple, move)) for move in block.tolist()]
+
+
 class TestNeighborhoodScan:
     def test_visits_singles_then_pairs(self):
         cells = np.array([[1, 1]], dtype=np.int64)
@@ -109,32 +120,51 @@ class TestNeighborhoodScan:
             FrontMember(cells=cells, array=arr, objective=ObjectiveVector(0, 0)),
         )
         seen = []
-        neighborhood_scan(front, 2, lambda i, move: seen.append((i, move)) and False)
-        # Two cells with one alternative each: 2 singles, then 1 pair move
-        # (both flipped), in deterministic order; the member's cells stay as they were.
+        neighborhood_scan(front, 2, lambda i, block: seen.append((i, moves_of(block))))
+        # Two cells with one alternative each: one block of 2 singles, then a
+        # block of 1 pair move (both flipped), in deterministic order; the
+        # member's cells stay as they were.
         assert seen == [
-            (0, (((0, 0), 2),)),
-            (0, (((0, 1), 2),)),
-            (0, (((0, 0), 2), ((0, 1), 2))),
+            (0, [((0, 0, 2),), ((0, 1, 2),)]),
+            (0, [((0, 0, 2), (0, 1, 2))]),
         ]
         assert front.members[0].cells is cells and cells.tolist() == [[1, 1]]
 
+    @staticmethod
+    def _scan_blocks(cells, s):
+        front = ParetoFront()
+        front_insert(front, FrontMember(cells, Array(cells, s), ObjectiveVector(0, 0)))
+        blocks = []
+        neighborhood_scan(front, 2, lambda i, block: blocks.append(block))
+        assert all(block.dtype == np.int64 for block in blocks)
+        return blocks, [move for block in blocks for move in moves_of(block)]
+
     def test_moves_skip_current_levels_in_scan_order(self):
         cells = np.array([[1, 3], [2, 2]], dtype=np.int64)
-        front = ParetoFront()
-        front_insert(front, FrontMember(cells, Array(cells, 3), ObjectiveVector(0, 0)))
-        seen = []
-        neighborhood_scan(front, 2, lambda i, move: seen.append(move) and False)
+        blocks, seen = self._scan_blocks(cells, 3)
         flat = [(i, j) for i in range(2) for j in range(2)]
-        singles = [((pos, lv),) for pos in flat for lv in (1, 2, 3) if cells[pos] != lv]
+        singles = [((*pos, lv),) for pos in flat for lv in (1, 2, 3) if cells[pos] != lv]
         pairs = [
-            ((p1, l1), (p2, l2))
+            ((*p1, l1), (*p2, l2))
             for p1, p2 in itertools.combinations(flat, 2)
             for l1 in (1, 2, 3)
             for l2 in (1, 2, 3)
             if cells[p1] != l1 and cells[p2] != l2
         ]
         assert seen == singles + pairs
+        assert [block.shape[1] for block in blocks] == [1, 2]  # one block per stage
+
+    def test_small_chunks_keep_the_scan_order(self, monkeypatch):
+        cells = np.array([[1, 3, 2], [2, 2, 1], [3, 1, 1]], dtype=np.int64)
+        whole, want = self._scan_blocks(cells, 3)
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 1)
+        blocks, seen = self._scan_blocks(cells, 3)
+        assert seen == want
+        assert len(blocks) == len(seen)  # at least one move per block
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 6000)
+        blocks, seen = self._scan_blocks(cells, 3)
+        assert seen == want
+        assert len(whole) < len(blocks) < len(seen)
 
     def test_stops_on_first_insertion(self):
         cells = np.array([[1, 1]], dtype=np.int64)
@@ -144,8 +174,10 @@ class TestNeighborhoodScan:
             front,
             FrontMember(cells=cells, array=arr, objective=ObjectiveVector(9, 9)),
         )
-        report = neighborhood_scan(front, 2, lambda i, c: True)
+        report = neighborhood_scan(front, 2, lambda i, block: 0)
         assert report.changed and report.examined == 1
+        report = neighborhood_scan(front, 2, lambda i, block: 1 if block.shape[1] == 1 else None)
+        assert report.changed and report.examined == 2
 
     def test_radius_one_skips_pairs(self):
         cells = np.array([[1, 1]], dtype=np.int64)
@@ -155,7 +187,7 @@ class TestNeighborhoodScan:
             front,
             FrontMember(cells=cells, array=arr, objective=ObjectiveVector(0, 0)),
         )
-        report = neighborhood_scan(front, 1, lambda i, c: False)
+        report = neighborhood_scan(front, 1, lambda i, block: None)
         assert report.examined == 2
 
 
@@ -171,7 +203,7 @@ class TestDeltaEvaluation:
         for p, k, _ in itertools.product((1, 2), range(2, 7), range(6)):
             s = int(rng.integers(2, 5))
             a = random_array(rng, n_runs=s * s, n_factors=k, n_levels=s)
-            tables = search._PairTables(a, p)
+            tables = _PairTables(a, p)
             assert tables.change(()) == full_objective(a.cells, s, p)
             for j in range(k):
                 i = int(rng.integers(0, a.n_runs))
@@ -200,7 +232,7 @@ class TestDeltaEvaluation:
         if data.draw(st.booleans()):  # one cell set to the level it already has
             i, j = positions[0]
             batch[0] = (i, j, int(cells[i, j]) - 1)
-        tables = search._PairTables(Array(cells, s), p)
+        tables = _PairTables(Array(cells, s), p)
         mutated = cells.copy()
         for i, j, lv in batch:
             mutated[i, j] = lv + 1
@@ -264,9 +296,11 @@ class TestLocalSearch:
             assert ma.array == mb.array
 
     def test_time_budget_is_checked_within_a_pass(self):
-        # Unbudgeted, this search runs for more than 8 s: its 35th pass starts
-        # after about 1.2 s and scans for more than 7 s (2-vCPU VM), so the
-        # budget runs out long before the search could complete.
+        # Unbudgeted, this search runs for about 2.2 s (2-vCPU VM): its 35th
+        # pass starts after about 0.1 s and scans 55,073 moves for about
+        # 0.8 s, so the budget runs out inside that pass.  A check only
+        # between passes would stop at about 0.9 s, within the slack; the
+        # fake-clock test below pins the check before every block.
         cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=0.3)
         start = time.monotonic()
         front = local_pareto_search(49, 8, 7, cfg)
@@ -275,33 +309,37 @@ class TestLocalSearch:
         assert front.members
         assert elapsed < cfg.time_budget + 0.8
 
-    def test_time_budget_stops_within_one_move_on_a_fake_clock(self, monkeypatch, caplog):
+    def test_time_budget_stops_within_one_block_on_a_fake_clock(self, monkeypatch, caplog):
         # The clock advances one tick per read.  The deadline is read at tick
-        # 0 and every move reads the clock once before it is scored, so a
-        # per-move check scores exactly the moves of ticks 1..200.  Unbudgeted,
-        # this search examines 2, 3, 8, 15, 71 and 450 moves in its six
-        # passes, so the deadline falls 101 moves into the sixth pass.
+        # 0 and every block reads the clock once before it is scored, so a
+        # per-block check scores exactly the blocks of ticks 1..60.  With 16
+        # KiB blocks of 7 single or 5 pair moves, this search scores 1, 1, 2,
+        # 3, 14 and 89 blocks in its six passes (examining 2, 3, 8, 15, 71 and
+        # 450 moves), so the deadline falls 39 blocks into the sixth pass.
         ticks, reads, scored = itertools.count(), [], []
 
         def monotonic():
             reads.append(next(ticks))
             return float(reads[-1])
 
-        change = search._PairTables.change
+        objectives = search._BlockScorer.objectives
 
-        def counted_change(tables, driven):
-            scored.append(reads[-1])
-            return change(tables, driven)
+        def counted_objectives(scorer, moves):
+            scored.append((reads[-1], len(moves)))
+            return objectives(scorer, moves)
 
         clock = types.SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter)
         monkeypatch.setattr(search, "time", clock)
-        monkeypatch.setattr(search._PairTables, "change", counted_change)
-        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=200.5)
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 1 << 14)
+        monkeypatch.setattr(search._BlockScorer, "objectives", counted_objectives)
+        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=60.5)
         with caplog.at_level(logging.INFO, logger="aoakit.search"):
             front = local_pareto_search(9, 5, 3, cfg)
         assert front.complete is False
-        assert scored == list(range(1, 201))  # one move per read, none after the deadline
-        assert reads[-1] == 201
+        # one block per read, none after the deadline
+        assert [tick for tick, _ in scored] == list(range(1, 61))
+        assert reads[-1] == 61  # the first read past the deadline stops the scan
+        assert {size for _, size in scored} == {2, 5, 7}
         assert "pass 5: examined 71 " in caplog.text
         assert "pass 6: time budget ran out" in caplog.text
 
@@ -377,22 +415,139 @@ class TestEncodings:
         positions = data.draw(st.lists(
             st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
             min_size=1, max_size=2, unique=True))
-        move = tuple((pos, data.draw(st.integers(1, s))) for pos in positions)
-        driven = enc.driven(move)
-        assert len(driven) == len(move) * len(enc.powers[0])
-        assert len({(i, j) for i, j, _ in driven}) == len(driven)
+        move = tuple((i, j, data.draw(st.integers(1, s))) for i, j in positions)
+        cells_set = driven(enc, move)
+        assert len(cells_set) == len(move) * len(enc.powers[0])
+        assert len({(i, j) for i, j, _ in cells_set}) == len(cells_set)
         got = enc.to_array(cells).cells.copy()
-        for i, j, lv in driven:
+        for i, j, lv in cells_set:
             got[i, j] = lv + 1
         moved = cells.copy()
-        for pos, lv in move:
-            moved[pos] = lv
+        for i, j, lv in move:
+            moved[i, j] = lv
         assert np.array_equal(got, enc.to_array(moved).cells)
 
     def test_bad_bicyclic_r_is_rejected_by_the_generator(self):
         for r in (0, 2, 4, -3):
             with pytest.raises(ValueError, match=r"r must divide s and satisfy 1 <= r <= k"):
                 local_pareto_search(9, 3, 3, SearchConfig(encoding="bicyclic", bicyclic_r=r))
+
+
+class TestBlockScorer:
+    @staticmethod
+    def _check_blocks(enc, cells, radius, p, max_moves=1500):
+        """Every entry of every block of a member's scan equals the per-move oracle."""
+        member = search._evaluate(enc, cells, p)
+        front = ParetoFront()
+        front_insert(front, member)
+        scorer, oracle = search._BlockScorer(enc, member.array, p), _PairTables(member.array, p)
+        sizes = []
+
+        def visitor(idx, block):
+            unb, tol = scorer.objectives(block)
+            assert unb.dtype == tol.dtype == np.int64
+            for move, u, t in zip(moves_of(block), unb.tolist(), tol.tolist()):
+                assert ObjectiveVector(u, t) == oracle.change(driven(enc, move))
+            sizes.append(len(block))
+            return 0 if sum(sizes) >= max_moves else None
+
+        report = neighborhood_scan(front, radius, visitor)
+        # a capped scan ends as if the first move of its last block was inserted
+        assert report.examined == (sum(sizes[:-1]) + 1 if report.changed else sum(sizes))
+
+    def _draw_and_check(self, data, max_moves):
+        kind = data.draw(st.sampled_from(["plain", "bicyclic", "quasicyclic"]))
+        s = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(2, 5))
+        lam = data.draw(st.integers(1, 2))
+        r = None
+        if kind == "bicyclic":
+            divisors = [d for d in range(1, s + 1) if s % d == 0 and d <= k]
+            r = data.draw(st.sampled_from([None, *divisors]))
+        radius, p = data.draw(st.sampled_from([1, 2])), data.draw(st.sampled_from([1, 2]))
+        enc = search._Encoder(kind, lam * s * s, k, s, r)
+        cells = enc.random_cells(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        self._check_blocks(enc, cells, radius, p, max_moves)
+
+    @pytest.mark.parametrize("n, k, s", [(8, 2, 2), (16, 4, 4), (16, 2, 4)])
+    def test_short_orbit_bicyclic_blocks_equal_the_oracle(self, n, k, s):
+        # r = k: a generator power can fix a core row, so expanded rows repeat
+        enc = search._Encoder("bicyclic", n, k, s, k)
+        for seed, radius, p in itertools.product(range(3), (1, 2), (1, 2)):
+            cells = enc.random_cells(np.random.default_rng(seed))
+            self._check_blocks(enc, cells, radius, p, max_moves=600)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_block_entry_equals_the_oracle(self, data):
+        self._draw_and_check(data, max_moves=1500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_small_block_entry_equals_the_oracle(self, data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_CHUNK_BYTES", data.draw(st.integers(1, 20_000)))
+            self._draw_and_check(data, max_moves=400)
+
+    def test_small_chunks_give_the_same_search(self, monkeypatch):
+        scan, objectives, passes = search.neighborhood_scan, search._BlockScorer.objectives, []
+
+        def counted_scan(*args):
+            blocks = len(passes)
+            report = scan(*args)
+            passes[blocks:] = [(report.changed, report.examined, len(passes) - blocks)]
+            return report
+
+        def counted_objectives(scorer, moves):
+            passes.append(None)
+            return objectives(scorer, moves)
+
+        monkeypatch.setattr(search, "neighborhood_scan", counted_scan)
+        monkeypatch.setattr(search._BlockScorer, "objectives", counted_objectives)
+        shapes = [(9, 5, 3, "bicyclic"), (8, 2, 2, "bicyclic"), (9, 4, 3, "quasicyclic"),
+                  (8, 4, 2, "plain")]
+        late = []
+        for (n, k, s, encoding), radius in itertools.product(shapes, (1, 2)):
+            cfg = SearchConfig(p=2, radius=radius, seed=4, encoding=encoding, restarts=2)
+            runs = []
+            for chunk_bytes in (search._CHUNK_BYTES, 3000):
+                monkeypatch.setattr(search, "_CHUNK_BYTES", chunk_bytes)
+                passes.clear()
+                front = local_pareto_search(n, k, s, cfg)
+                runs.append(([(m.cells.tolist(), m.objective) for m in front.members],
+                             [(changed, examined) for changed, examined, _ in passes]))
+            assert runs[0] == runs[1]
+            late += [(n, k, s, encoding, radius) for changed, _, blocks in passes
+                     if changed and blocks > 1]
+        # with small blocks, moves were inserted after the first block of a pass
+        assert {shape[3] for shape in late} == {"plain", "bicyclic", "quasicyclic"}
+        assert {shape[4] for shape in late} == {1, 2}
+
+    @pytest.mark.parametrize("n, k, s, encoding", [(49, 8, 7, "bicyclic"), (64, 10, 4, "plain")])
+    def test_scoring_memory_stays_within_a_few_chunks(self, n, k, s, encoding):
+        enc = search._Encoder(encoding, n, k, s, None)
+        member = search._evaluate(enc, enc.random_cells(np.random.default_rng(0)), 2)
+        front = ParetoFront()
+        front_insert(front, member)
+        pair_blocks = []
+
+        def visitor(idx, block):
+            if block.shape[1] == 2:
+                pair_blocks.append(len(block))
+            scorer.objectives(block)
+            return 0 if len(pair_blocks) == 3 else None
+
+        tracemalloc.start()
+        try:
+            scorer = search._BlockScorer(enc, member.array, 2)
+            report = neighborhood_scan(front, 2, visitor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stage = member.cells.size * (s - 1)
+        assert report.examined == stage + 2 * pair_blocks[0] + 1  # all singles, then 3 blocks
+        assert pair_blocks[0] > 1
+        assert peak <= 4 * search._CHUNK_BYTES
 
 
 class TestBruteForce:
