@@ -10,8 +10,9 @@ All strength-t counting goes through one table, ``_count_table(a, t)``: row r
 holds the level-tuple counts of the r-th column t-tuple.  Tolerance,
 unbalance, bandwidth and ``is_oa`` here, the pairwise criteria in ``metrics``
 and the incremental tables of ``search`` and ``ipmodel`` are all read off it.
-The exact oracles of ``search`` and ``ipmodel`` count the pairs a block of
-candidate last columns forms with fixed columns by ``_last_column_counts``.
+The exact oracles of ``search`` and ``ipmodel`` share one state scan,
+``_state_blocks``: it counts each prefix's pairs once and scores its last
+columns in integer blocks.
 
 All counting metrics are exact: deviations are computed as integers scaled by
 ``s^t`` and reduced at the end, so results are python ints (or Fractions when
@@ -164,31 +165,47 @@ def _level_digits(index: np.ndarray, n: int, s: int) -> np.ndarray:
     return digits
 
 
-def _last_column_counts(fixed: np.ndarray, s: int, start: int, stop: int):
-    """Pair counts of fixed columns against candidate last columns, in blocks.
+def _state_blocks(head: np.ndarray, prefixes, s: int, p: int, prune: int | None = None):
+    """Exact strength-2 objectives of an exhaustive oracle's states, in blocks.
 
-    ``fixed`` is an N x m matrix of 0-based levels; the candidates are the
-    level vectors with indices ``start .. stop - 1`` in ``_level_digits``
-    order.  Yields ``(last, counts)`` per block: ``last`` holds the block's
-    C candidates in index order (C x N, 0-based), and ``counts`` is
-    C x m x s^2 int64, coded like the ``_count_table`` row of the pair
-    (fixed column, last column).  One offset-coded ``np.bincount`` counts a
-    block.  C is chosen so that the block's temporaries (the codes and the
-    copy ``np.bincount`` makes of them), the previous block, still held by
-    the caller's loop variables, and a few caller temporaries stay within
+    A state is the N x 2 balanced ``head``, a prefix's columns and one last
+    column, all 1-based.  ``prefixes`` yields ``(cols, start)``: the columns
+    after the head, and the index of the first last column; the last columns
+    run from there to s^N - 1 in ``_level_digits`` order.  A prefix's pairs
+    are counted once, and a prefix whose own tolerance exceeds ``prune`` is
+    skipped.  Per block of C last columns this yields the int64 Tol_2 and
+    Unb_{p,2} of its states (the head pair adds 0 to both), the C x m x s^2
+    counts of the m prefix columns against each last column, coded like
+    ``_count_table`` rows, and ``witness(i)``, which builds the i-th state's
+    array until the next block is drawn.  One offset-coded ``np.bincount``
+    counts a block, sized so that its codes, the copy ``np.bincount`` makes
+    of them, the previous block and a few caller temporaries stay within
     ``_CHUNK_BYTES``.
     """
-    n, m = fixed.shape
-    ss = s * s
-    scaled = fixed.T * s
-    step = max(1, _CHUNK_BYTES // (8 * (2 * (n * (m + 1) + m * ss) + 8)))
-    for lo in range(start, stop, step):
-        last = _level_digits(np.arange(lo, min(lo + step, stop)), n, s)
-        code = scaled + last[:, None, :]
-        code += np.arange(0, len(last) * m * ss, ss).reshape(-1, m, 1)
-        counts = np.bincount(code.ravel(), minlength=len(last) * m * ss)
-        del code  # not held while the caller works on the block
-        yield last, counts.reshape(-1, m, ss)
+    n, ss = len(head), s * s
+    lam = n // ss
+
+    def objectives(counts):  # row-wise max and p-power sum of |count - lam|
+        dev = np.abs(counts - lam)
+        return dev.max(axis=-1), (dev**p).sum(axis=-1)
+
+    for cols, start in prefixes:
+        cells = np.column_stack([head, *cols])
+        prefix_tol, prefix_unb = objectives(_count_table(Array(cells, s), 2).ravel())
+        if prune is not None and prefix_tol > prune:
+            continue
+        m = cells.shape[1]
+        scaled = (cells.T - 1) * s
+        step = max(1, _CHUNK_BYTES // (8 * (2 * (n * (m + 1) + m * ss) + 8)))
+        for lo in range(start, s**n, step):
+            last = _level_digits(np.arange(lo, min(lo + step, s**n)), n, s)
+            code = scaled + last[:, None, :]
+            code += np.arange(0, len(last) * m * ss, ss).reshape(-1, m, 1)
+            counts = np.bincount(code.ravel(), minlength=len(last) * m * ss).reshape(-1, m, ss)
+            del code  # not held while the caller works on the block
+            tol, unb = objectives(counts.reshape(len(last), -1))
+            yield (np.maximum(tol, prefix_tol), unb + prefix_unb, counts,
+                   lambda i: Array(np.column_stack([cells, last[i] + 1]), s))
 
 
 class _RunningMinimum:

@@ -231,25 +231,26 @@ class DdResult:
         return abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
+def _dd_sq_hamming(a: Array, pa: Fraction | float, pb: Fraction | float) -> Fraction | float:
+    """Squared discrete discrepancy from the Hamming similarity counts of the runs."""
+    n, k, s = a.n_runs, a.n_factors, a.n_levels
+    counts = np.bincount(hamming_similarity(a).ravel(), minlength=k + 1)
+    ratio = pa / pb
+    profile = sum(int(c) * ratio**t for t, c in enumerate(counts))
+    return -(((pa - pb) / s + pb) ** k) + pb**k * profile / n**2
+
+
 def dd(a: Array, params: DdParams) -> DdResult:
     """Discrete discrepancy of the runs, via Hamming counts and via unbalances.
 
     Exact rational arithmetic whenever both parameters are rational.
     """
-    n, k, s = a.n_runs, a.n_factors, a.n_levels
+    n, k = a.n_runs, a.n_factors
     num = Fraction if params.exact else float  # one arithmetic for every formula
     pa, pb = num(params.a), num(params.b)
-
-    h = hamming_similarity(a)
-    counts = np.bincount(h.ravel(), minlength=k + 1)
-    ratio = pa / pb
-    profile = sum(int(c) * ratio**t for t, c in enumerate(counts))
-    sq_h = -(((pa - pb) / s + pb) ** k) + pb**k * profile / n**2
-
-    sq_u = sum(
-        num(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t) for t in range(1, k + 1)
-    ) / n**2
-    return DdResult(params=params, sq_hamming=_reduced(sq_h), sq_unbalance=_reduced(sq_u))
+    sq_h = _reduced(_dd_sq_hamming(a, pa, pb))
+    sq_u = sum(num(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t) for t in range(1, k + 1))
+    return DdResult(params=params, sq_hamming=sq_h, sq_unbalance=_reduced(sq_u / n**2))
 
 
 def dd_lower_bound(n: int, k: int, s: int, params: DdParams) -> Exact | float:
@@ -341,7 +342,7 @@ def check_discrepancy_bounds(a: Array) -> dict[str, BoundCheck]:
         third = ((pa - pb) / s + pb) ** k
         rhs = (
             float(i2[name] ** k - 2 * _cross_min(name, s) ** k + third)
-            + float(dd(a, params).sq_hamming)
+            + float(_dd_sq_hamming(a, pa, pb))
         )
         out[name] = BoundCheck(
             name=name,

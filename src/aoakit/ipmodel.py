@@ -20,11 +20,10 @@ For any feasible assignment the objective equals Unb_{p,2} of the
 reconstructed array plus the last-column strength-1 term sum_m |d1_m|^p.
 
 ``exhaustive_optimum`` enumerates the feasible set in ``itertools.product``
-order: balanced middle columns 3..k-1, then the last column.  The pair
-counts without the last column are taken once per tuple of middle columns
-(a tuple outside the epsilon bounds is skipped whole); all s^N last columns
-are then scored in blocks of one integer count matrix, and the witnesses are
-the first optimal states in that order.
+order: balanced middle columns 3..k-1, then the last column, through the
+state scan ``arrays._state_blocks`` that ``search.brute_force_optimum`` also
+runs.  A tuple of middle columns outside the epsilon bounds is skipped
+whole, and the witnesses are the first optimal states in that order.
 
 Optional symmetry constraints tie variables so that ((m_bar..s)|id) or the
 Klein column swap (id|(1,2)(3,4)) is an automorphism of every feasible array;
@@ -57,9 +56,9 @@ import numpy as np
 from .arrays import (
     Array,
     _count_table,
-    _last_column_counts,
     _pair_rows,
     _RunningMinimum,
+    _state_blocks,
     tolerance,
     unbalance,
 )
@@ -500,11 +499,12 @@ def evaluate_model(model: IpModel, assignment: dict[str, float]) -> ModelCheck:
     Bounds and rows are read from the variable table and the CSR rows.  Each
     row's left-hand side adds its terms from the left, as ``sum`` does, so
     the values in the messages do not depend on numpy's summation order.  A
-    binary variable that is not finite is reported as not integral.
+    NaN value is reported as outside its bounds, and a binary variable that
+    is not finite as not integral.
     """
     x = np.array([float(assignment.get(name, 0.0)) for name in model.names], dtype=np.float64)
     values, lower, upper = x.tolist(), model.lower.tolist(), model.upper.tolist()
-    outside = (x < model.lower - 1e-6) | (x > model.upper + 1e-6)
+    outside = ~((x >= model.lower - 1e-6) & (x <= model.upper + 1e-6))  # NaN is outside
     fractional = (model.kinds == _KINDS.index("binary")) & ~(np.abs(x - np.round(x)) <= 1e-6)
     violations = []
     for v in np.flatnonzero(outside | fractional).tolist():
@@ -661,31 +661,17 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
     if states > max_states:
         raise ValueError(f"feasible set has {states} states (> {max_states})")
     balanced = list(_balanced_columns(n, s, lam)) if k > 3 else []
-    head = canonical_head(s, lam)
-    # a pair count c is within the epsilon bounds iff low <= c <= high
-    low, high = lam + inst.delta_lower, lam + inst.epsilon
-
-    best = _RunningMinimum(8)
-    feasible = 0
-    for mids in itertools.product(balanced, repeat=k - 3):
-        cells = np.column_stack([head] + [np.array(col, dtype=np.int64) for col in mids])
-        # every pair without the last column except the pinned one: d0, d2, d3
-        table = _count_table(Array(cells, s), 2)[1:]
-        if table.size and (table.min() < low or table.max() > high):
-            continue
-        fixed_objective = int((np.abs(table - lam) ** p).sum())
-        for last, counts in _last_column_counts(cells - 1, s, 0, s**n):
-            flat = counts.reshape(len(last), -1)
-            ok = (flat.min(axis=1) >= low) & (flat.max(axis=1) <= high)
-            # level counts of the last column, summed over pinned column 1
-            d1 = counts[:, 0].reshape(-1, s, s).sum(axis=1) - lam * s
-            objective = (np.abs(flat - lam) ** p).sum(axis=1) + (np.abs(d1) ** p).sum(axis=1)
-            keep = np.flatnonzero(ok)
-            feasible += len(keep)
-            best.update(
-                objective[keep] + fixed_objective,
-                lambda i: Array(np.column_stack([cells, last[keep[i]] + 1]), s),
-            )
+    prefixes = ((mids, 0) for mids in itertools.product(balanced, repeat=k - 3))
+    best, feasible = _RunningMinimum(8), 0
+    # a state is within the epsilon bounds iff its tolerance is at most epsilon
+    blocks = _state_blocks(canonical_head(s, lam), prefixes, s, p, prune=inst.epsilon)
+    for tol, unb, counts, witness in blocks:
+        # level counts of the last column, summed over pinned column 1
+        d1 = counts[:, 0].reshape(-1, s, s).sum(axis=1) - lam * s
+        objective = unb + (np.abs(d1) ** p).sum(axis=1)
+        keep = np.flatnonzero(tol <= inst.epsilon)
+        feasible += len(keep)
+        best.update(objective[keep], lambda i: witness(keep[i]))
     if best.value is None:
         raise ValueError("no feasible assignment under the epsilon cap")
     return ExhaustiveResult(

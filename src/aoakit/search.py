@@ -35,15 +35,15 @@ under level/column/row permutations), optionally under a tolerance cap.
 A state is a sorted tuple of indices into the s^N level vectors listed in
 ``itertools.product`` order, and states are taken in
 ``combinations_with_replacement`` order.  All but the last column of a state
-form its prefix, which is counted once; every last column from the prefix's
-last index up is then scored in blocks of one integer count matrix
-(``arrays._last_column_counts``).  The witnesses of each minimum are its
-first states in that order.
+form its prefix, and the prefixes are made one at a time.  The oracle's
+states are scored by the state scan it shares with ``ipmodel``
+(``arrays._state_blocks``): each prefix is counted once, and every last
+column from the prefix's last index up is then scored in integer blocks.
+The witnesses of each minimum are its first states in that order.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -56,10 +56,10 @@ from .arrays import (
     Array,
     Exact,
     _count_table,
-    _last_column_counts,
     _level_digits,
     _pair_rows,
     _RunningMinimum,
+    _state_blocks,
     tolerance,
     unbalance,
 )
@@ -86,10 +86,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-CROSS_CHECK_DELTA = False
-"""When true, the objectives of every scored move are re-verified by full
-recomputation before the dominance test (enabled by the test suite)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -377,10 +373,6 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
         bests = np.array(front.objectives(), dtype=np.int64)
         free = ~((bests[:, :1] <= unb) & (bests[:, 1:] <= tol)).any(axis=0)
         pos = int(free.argmax()) if free.any() else None  # the first undominated move
-        if CROSS_CHECK_DELTA:
-            for m in range(len(moves) if pos is None else pos + 1):
-                full = _evaluate(enc, _moved(member.cells, moves[m]), cfg.p)
-                assert full.objective == objective(m), "delta evaluation mismatch"
         if pos is not None:
             cells = _moved(member.cells, moves[pos])
             front_insert(front, FrontMember(cells, enc.to_array(cells), objective(pos)))
@@ -454,6 +446,16 @@ class OracleResult:
     states: int = 0
 
 
+def _sorted_tuples(n: int, r: int, low: int = 0):
+    """Nondecreasing r-tuples over range(low, n) in ``combinations_with_replacement``
+    order, made one at a time: that function would first copy ``range(n)``."""
+    if r == 0:
+        yield ()
+        return
+    for i in range(low, n):
+        yield from ((i, *rest) for rest in _sorted_tuples(n, r - 1, i))
+
+
 def brute_force_optimum(
     n_runs: int,
     k: int,
@@ -506,20 +508,12 @@ def brute_force_optimum(
     else:
         # a state is a sorted tail of k-2 pool indices: its first k-3 entries
         # fix the prefix, and the last one runs from the prefix's last entry up
-        prefixes = itertools.combinations_with_replacement(range(n_vectors), k - 3)
-    for prefix in prefixes:
-        prefix_cols = _level_digits(np.array(prefix, dtype=np.int64), n_runs, s) + 1
-        cells = np.column_stack([head, *prefix_cols])
-        dev = np.abs(_count_table(Array(cells, s), 2) - lam)
-        prefix_tol, prefix_unb = int(dev.max()), int((dev**p).sum())
-        start = prefix[-1] if prefix else 0
-        for last, counts in _last_column_counts(cells - 1, s, start, n_vectors):
-            dev = np.abs(counts.reshape(len(last), -1) - lam)
-            fold(
-                np.maximum(dev.max(axis=1), prefix_tol),
-                (dev**p).sum(axis=1) + prefix_unb,
-                lambda i: Array(np.column_stack([cells, last[i] + 1]), s),
-            )
+        prefixes = (
+            (_level_digits(np.array(tail, dtype=np.int64), n_runs, s) + 1, tail[-1] if tail else 0)
+            for tail in _sorted_tuples(n_vectors, k - 3)
+        )
+    for tol, unb, _, witness in _state_blocks(head, prefixes, s, p):
+        fold(tol, unb, witness)
     if unb_best.value is None:
         raise ValueError(f"no array satisfies the tolerance cap {tol_cap}")
     return OracleResult(

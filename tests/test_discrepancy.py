@@ -410,6 +410,24 @@ class TestBoundChecks:
             assert not chk.equality_expected
             assert chk.holds and not chk.is_equality
 
+    def test_check_reads_only_the_hamming_form(self, rng):
+        # dd's unbalance form sums unbalance(a, t, 2) for t = 1..k, whose count
+        # tables took a 74 MiB peak here; the Hamming form needs a 27 x 27 matrix
+        a = random_array(rng, n_runs=27, n_factors=12, n_levels=3)
+        tracemalloc.start()
+        try:
+            out = check_discrepancy_bounds(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        i2 = {"centered": Fraction(13, 12), "wraparound": Fraction(4, 3), "mixture": Fraction(19, 12)}
+        for name, chk in out.items():
+            params = COUPLINGS[name](3)
+            third = ((params.a - params.b) / 3 + params.b) ** 12
+            rhs = float(i2[name] ** 12 - 2 * _cross_min(name, 3) ** 12 + third)
+            assert chk.rhs_sq == rhs + float(dd(a, params).sq_hamming)  # the same Hamming form
+
     def test_reports_all_three_kernels(self, t0):
         out = check_discrepancy_bounds(t0)
         assert sorted(out) == ["centered", "mixture", "wraparound"]

@@ -193,6 +193,15 @@ class TestFeasibility:
         check = evaluate_model(model, assignment)
         assert check.violations
 
+    def test_nan_value_is_outside_its_bounds(self):
+        model = IpModel(variables=[Variable("a", "general", 0, 3), Variable("b", "binary")])
+        check = evaluate_model(model, {"a": float("nan"), "b": float("nan")})
+        assert check.violations == [
+            "bound a=nan outside [0,3]",
+            "bound b=nan outside [0,1]",
+            "binary b=nan not integral",
+        ]
+
 
 class TestExhaustive:
     def test_minimum_2_4_1(self):
