@@ -231,12 +231,18 @@ class DdResult:
         return abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
-def _dd_sq_hamming(a: Array, pa: Fraction | float, pb: Fraction | float) -> Fraction | float:
-    """Squared discrete discrepancy from the Hamming similarity counts of the runs."""
+def _agreement_counts(a: Array) -> list[int]:
+    """Number of ordered run pairs that agree in exactly t coordinates, t = 0..k."""
+    return np.bincount(hamming_similarity(a).ravel(), minlength=a.n_factors + 1).tolist()
+
+
+def _dd_sq_hamming(
+    a: Array, counts: list[int], pa: Fraction | float, pb: Fraction | float
+) -> Fraction | float:
+    """Squared discrete discrepancy from the ``_agreement_counts`` of the runs."""
     n, k, s = a.n_runs, a.n_factors, a.n_levels
-    counts = np.bincount(hamming_similarity(a).ravel(), minlength=k + 1)
     ratio = pa / pb
-    profile = sum(int(c) * ratio**t for t, c in enumerate(counts))
+    profile = sum(c * ratio**t for t, c in enumerate(counts))
     return -(((pa - pb) / s + pb) ** k) + pb**k * profile / n**2
 
 
@@ -248,7 +254,7 @@ def dd(a: Array, params: DdParams) -> DdResult:
     n, k = a.n_runs, a.n_factors
     num = Fraction if params.exact else float  # one arithmetic for every formula
     pa, pb = num(params.a), num(params.b)
-    sq_h = _reduced(_dd_sq_hamming(a, pa, pb))
+    sq_h = _reduced(_dd_sq_hamming(a, _agreement_counts(a), pa, pb))
     sq_u = sum(num(unbalance(a, t, 2)) * (pa - pb) ** t * pb ** (k - t) for t in range(1, k + 1))
     return DdResult(params=params, sq_hamming=sq_h, sq_unbalance=_reduced(sq_u / n**2))
 
@@ -335,6 +341,7 @@ def check_discrepancy_bounds(a: Array) -> dict[str, BoundCheck]:
     }
     measured = {"centered": cd(a), "wraparound": wd(a), "mixture": md(a)}
     equality_at = {"centered": s == 2, "wraparound": s <= 3, "mixture": s == 2}
+    counts = _agreement_counts(a)
 
     out: dict[str, BoundCheck] = {}
     for name, params in couplings.items():
@@ -342,7 +349,7 @@ def check_discrepancy_bounds(a: Array) -> dict[str, BoundCheck]:
         third = ((pa - pb) / s + pb) ** k
         rhs = (
             float(i2[name] ** k - 2 * _cross_min(name, s) ** k + third)
-            + float(_dd_sq_hamming(a, pa, pb))
+            + float(_dd_sq_hamming(a, counts, pa, pb))
         )
         out[name] = BoundCheck(
             name=name,

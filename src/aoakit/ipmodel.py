@@ -37,6 +37,14 @@ Generals / Binaries / End, ASCII, LF, lines well under 255 characters) that
 round-trips byte-identically through ``parse_lp``; MPS is a secondary format.
 A solver is never embedded: ``solve_with_command`` shells out to a
 user-supplied command and reads a plain ``name value`` solution file.
+
+The variable table is written out once, by ``_layout``: the names, kinds
+and bounds, and the table index of every block (x, z, d0..d3 and, for p = 1,
+their plus and minus parts).  ``build_model`` takes its table and indices
+from it, ``canonical_assignment`` fills one value per variable by index
+arithmetic over the pair-count table, and ``verify_solution`` gathers a
+solution into the same order.  ``_layout`` counts the variables in closed
+form first and refuses a model of more than ``_MAX_VARIABLES``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,29 +309,13 @@ class IpModel:
             np.array_equal(value, getattr(other, key)) for key, value in vars(self).items())
 
 
-def _x(i, j, m) -> str:
-    return f"x_{i}_{j}_{m}"
-
-
-def _z(i, c, l) -> str:
-    return f"z_{i}_{c}_{l}"
-
-
-def _deviations(inst: IpInstance) -> list[Variable]:
-    """The deviation variables d0, d1, d2, d3 with their bounds, in model order."""
-    s, lam, eps, lo = inst.s, inst.lam, inst.epsilon, inst.delta_lower
-    deltas: list[Variable] = []
-    for c in range(1, len(inst.column_pairs) + 1):
-        for l in range(1, s * s + 1):
-            deltas.append(Variable(f"d0_{c}_{l}", "general", lo, eps))
-    for m in range(1, s + 1):
-        deltas.append(Variable(f"d1_{m}", "general", -lam * s, lam * s * s - lam * s))
-    for fam in ("d2", "d3"):
-        for m in range(1, s + 1):
-            for mp in range(1, s + 1):
-                for j in inst.free_columns:
-                    deltas.append(Variable(f"{fam}_{m}_{mp}_{j}", "general", lo, eps))
-    return deltas
+def _names(prefix: str, *axes) -> list[str]:
+    """``prefix_a_b..`` for every (a, b, ..) of the product of ``axes``, in order."""
+    names = [prefix]
+    for axis in axes:
+        suffixes = [f"_{v}" for v in axis]
+        names = [name + suffix for name in names for suffix in suffixes]
+    return names
 
 
 def _parts(name: str) -> tuple[str, str, str]:
@@ -331,9 +324,47 @@ def _parts(name: str) -> tuple[str, str, str]:
     return f"{fam}p_{rest}", f"{fam}m_{rest}", f"abs{fam[1:]}_{rest}"
 
 
-def _x_index(inst: IpInstance) -> np.ndarray:
-    """Table index of x_i_j_m at [i-1, j-3, m-1]: the x variables come first."""
-    return np.arange(inst.n_runs * (inst.k - 2) * inst.s).reshape(inst.n_runs, inst.k - 2, inst.s)
+_MAX_VARIABLES = 10**6
+"""The most variables ``_layout`` lays out: a larger model is refused before allocation."""
+
+
+_Layout = namedtuple("_Layout", "names kinds lower upper x z d0 d1 d23 deviation plus minus")
+
+
+def _layout(inst: IpInstance) -> _Layout:
+    """The variable table (x, z, d0, d1, d2, d3, then each deviation's plus and minus part)
+    and the table index of every block: ``x[i-1, j-3, m-1]``, ``z[i-1, c-1, l-1]``,
+    ``d0[c-1, l-1]``, ``d1[m-1]``, ``d23[f, m-1, mp-1, j-3]`` (f = 0 for d2, 1 for d3),
+    ``deviation`` (d0..d3 in order) and its parts ``plus`` and ``minus`` (empty for p = 2).
+    """
+    s, lam, eps, lo, n = inst.s, inst.lam, inst.epsilon, inst.delta_lower, inst.n_runs
+    free, pairs, ss = inst.k - 2, math.comb(inst.k - 2, 2), s * s
+    blocks = [pairs * ss, s, 2 * ss * free]  # d0, d1, d2 and d3
+    size = n * free * s + n * pairs * ss + sum(blocks) * (3 if inst.p == 1 else 1)
+    if size > _MAX_VARIABLES:
+        raise ValueError(f"model has {size} variables (> {_MAX_VARIABLES})")
+    runs, columns, levels = range(1, n + 1), inst.free_columns, range(1, s + 1)
+    pair_ids, codes = range(1, pairs + 1), range(1, ss + 1)
+    names = _names("x", runs, columns, levels) + _names("z", runs, pair_ids, codes)
+    binaries, deviations = len(names), sum(blocks)
+    deviation_names = _names("d0", pair_ids, codes) + _names("d1", levels)
+    deviation_names += _names("d2", levels, levels, columns) + _names("d3", levels, levels, columns)
+    names += deviation_names
+    lower = np.repeat(np.int64([0, lo, -lam * s, lo]), [binaries] + blocks)
+    upper = np.repeat(np.int64([1, eps, lam * s * s - lam * s, eps]), [binaries] + blocks)
+    if inst.p == 1:
+        names += [part for name in deviation_names for part in _parts(name)[:2]]
+        parts = np.column_stack([upper[binaries:], -lower[binaries:]]).clip(0).ravel()
+        lower = np.append(lower, np.zeros_like(parts))
+        upper = np.append(upper, parts)
+    index = np.arange(size)
+    x, z = index[: n * free * s], index[n * free * s : binaries]
+    deviation = index[binaries : binaries + deviations]
+    d0, d1, d23 = np.split(deviation, np.cumsum(blocks)[:2])
+    return _Layout(names, np.repeat(np.int8([0, 1]), [binaries, size - binaries]), lower, upper,
+                   x.reshape(n, free, s), z.reshape(n, pairs, ss), d0.reshape(pairs, ss), d1,
+                   d23.reshape(2, s, s, free), deviation, index[binaries + deviations :: 2],
+                   index[binaries + deviations + 1 :: 2])
 
 
 def build_model(inst: IpInstance) -> IpModel:
@@ -342,29 +373,11 @@ def build_model(inst: IpInstance) -> IpModel:
     free, levels, runs = list(inst.free_columns), range(1, s + 1), range(1, n + 1)
     pairs = np.array(inst.column_pairs, np.int64).reshape(-1, 2) - 3  # as x's second axis
     pair_ids, codes = range(1, len(pairs) + 1), range(1, ss + 1)
-    deltas = _deviations(inst)
-    parts = [_parts(d.name) for d in deltas] if inst.p == 1 else []
-    variables = list(deltas)
-    for d, (plus, minus, _) in zip(deltas, parts):
-        variables += [Variable(plus, "general", 0, max(d.upper, 0)),
-                      Variable(minus, "general", 0, max(-d.lower, 0))]
+    names, kinds, lower, upper, x, z, d0, d1, d23, deviation, plus, minus = _layout(inst)
     model = IpModel()
-    model.names = list(itertools.starmap(_x, itertools.product(runs, free, levels)))
-    model.names += itertools.starmap(_z, itertools.product(runs, pair_ids, codes))
-    binaries = len(model.names)
-    model.names += [v.name for v in variables]
-    model.kinds = np.repeat(np.int8([0, 1]), [binaries, len(variables)])
-    model.lower = np.append(np.zeros(binaries, np.int64), [v.lower for v in variables])
-    model.upper = np.append(np.ones(binaries, np.int64), [v.upper for v in variables])
-
-    # table indices: x[i-1, j-3, m-1], z[i-1, c-1, l-1], then the deviations in _deviations order
-    x = _x_index(inst)
-    z = x.size + np.arange(n * len(pairs) * ss).reshape(n, len(pairs), ss)
-    deviation = binaries + np.arange(len(deltas))
-    d0, d1 = deviation[: len(pairs) * ss].reshape(-1, ss), deviation[len(pairs) * ss :][:s]
-    d23 = deviation[len(pairs) * ss + s :].reshape(2, s, s, len(free))  # d2/d3 [m-1, mp-1, j-3]
-    split = binaries + len(deltas) + np.arange(2 * len(parts))  # plus, minus of each deviation
-    if parts:
+    model.names, model.kinds, model.lower, model.upper = names, kinds, lower, upper
+    if inst.p == 1:
+        split = np.column_stack([plus, minus]).ravel()
         model.lin_coefs, model.lin_vars = np.ones_like(split), split
     else:
         model.quad_coefs, model.quad_vars = np.ones_like(deviation), deviation
@@ -388,9 +401,9 @@ def build_model(inst: IpInstance) -> IpModel:
     add(["aoaz2" + row for row in pair_rows], z.reshape(-1, ss), 1, 1)
     add([f"aoaz3_{c}_{l}" for c in pair_ids for l in codes],
         np.column_stack([z.transpose(1, 2, 0).reshape(-1, n), d0.reshape(-1)]), [1] * n + [-1], lam)
-    if parts:
-        add([name for *_, name in parts],
-            np.column_stack([deviation, split[0::2], split[1::2]]), (1, -1, 1), 0)
+    if inst.p == 1:
+        add([_parts(names[d])[2] for d in deviation.tolist()],
+            np.column_stack([deviation, plus, minus]), (1, -1, 1), 0)
     return model
 
 
@@ -410,8 +423,9 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     if inst.symmetry is None:
         raise ValueError("instance declares no symmetry")
     s = inst.s
-    x = _x_index(inst)
-    if model.names[x.size - 1 : x.size] != [_x(inst.n_runs, inst.k, s)]:
+    layout = _layout(inst)
+    x = layout.x
+    if model.names[x.size - 1 : x.size] != layout.names[x.size - 1 : x.size]:
         raise ValueError("model was not built for this instance")
 
     def tie(a: np.ndarray, b: np.ndarray, name) -> None:
@@ -435,24 +449,24 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     return model
 
 
-def _delta_values(inst: IpInstance, a: Array) -> dict[str, int]:
-    """All deviation values of a canonical-head array."""
+def _canonical_values(inst: IpInstance, layout: _Layout, a: Array) -> np.ndarray:
+    """The value of every variable in the table for a canonical-head array."""
     s, k, lam = inst.s, inst.k, inst.lam
-    table = _count_table(a, 2).tolist()
-    rows = _pair_rows(k).tolist()
-    out: dict[str, int] = {}
-    for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
-        for l, count in enumerate(table[rows[j1 - 1][j2 - 1]], start=1):
-            out[f"d0_{c}_{l}"] = count - lam
-    for m in range(1, s + 1):
-        out[f"d1_{m}"] = int(np.sum(a.cells[:, k - 1] == m)) - lam * s
-    for m in range(1, s + 1):
-        for mp in range(1, s + 1):
-            code = (mp - 1) * s + m - 1  # pinned column level mp, free column level m
-            for j in inst.free_columns:
-                out[f"d2_{m}_{mp}_{j}"] = table[rows[0][j - 1]][code] - lam
-                out[f"d3_{m}_{mp}_{j}"] = table[rows[1][j - 1]][code] - lam
-    return out
+    levels = a.cells - 1
+    pairs = np.array(inst.column_pairs, np.int64).reshape(-1, 2) - 1
+    values = np.zeros(len(layout.names), np.int64)
+    values[np.take_along_axis(layout.x, levels[:, 2:, None], 2)] = 1
+    codes = s * levels[:, pairs[:, 0]] + levels[:, pairs[:, 1]]
+    values[np.take_along_axis(layout.z, codes[:, :, None], 2)] = 1
+    table, rows = _count_table(a, 2) - lam, _pair_rows(k)
+    values[layout.d0] = table[rows[pairs[:, 0], pairs[:, 1]]]
+    values[layout.d1] = np.bincount(levels[:, -1], minlength=s) - lam * s
+    # pinned column f+1 at level mp against free column j at level m: code (mp-1)*s + m-1
+    values[layout.d23] = table[rows[:2, 2:]].reshape(2, k - 2, s, s).transpose(0, 3, 2, 1)
+    if inst.p == 1:
+        values[layout.plus] = np.maximum(values[layout.deviation], 0)
+        values[layout.minus] = np.maximum(-values[layout.deviation], 0)
+    return values
 
 
 def canonical_assignment(inst: IpInstance, a: Array) -> dict[str, int]:
@@ -460,25 +474,8 @@ def canonical_assignment(inst: IpInstance, a: Array) -> dict[str, int]:
     if a.n_levels != inst.s or a.n_factors != inst.k or a.n_runs != inst.n_runs:
         raise ValueError("array shape does not match the instance")
     a = arrange_canonical(a)
-    s = inst.s
-    out: dict[str, int] = {}
-    for i in range(1, inst.n_runs + 1):
-        for j in inst.free_columns:
-            for m in range(1, s + 1):
-                out[_x(i, j, m)] = int(a.cells[i - 1, j - 1] == m)
-    for i in range(1, inst.n_runs + 1):
-        for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
-            lval = s * (int(a.cells[i - 1, j1 - 1]) - 1) + int(a.cells[i - 1, j2 - 1])
-            for l in range(1, s * s + 1):
-                out[_z(i, c, l)] = int(l == lval)
-    deltas = _delta_values(inst, a)
-    out.update(deltas)
-    if inst.p == 1:
-        for name, value in deltas.items():
-            plus, minus, _ = _parts(name)
-            out[plus] = max(value, 0)
-            out[minus] = max(-value, 0)
-    return out
+    layout = _layout(inst)
+    return dict(zip(layout.names, _canonical_values(inst, layout, a).tolist()))
 
 
 @dataclass
@@ -560,43 +557,35 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
     """Rebuild the array from x values and audit the solution's bookkeeping.
 
     Only the x variables are mandatory; z and delta values, when present, are
-    compared against the reconstruction.
+    compared against the reconstruction.  A value that is not finite is refused.
     """
-    s, n = inst.s, inst.n_runs
-    head = canonical_head(s, inst.lam)
-    cols = [head[:, 0], head[:, 1]]
-    for j in inst.free_columns:
-        col = np.zeros(n, dtype=np.int64)
-        for i in range(1, n + 1):
-            weights = [assignment.get(_x(i, j, m)) for m in range(1, s + 1)]
-            if any(w is None for w in weights):
-                raise ValueError(f"assignment is missing x values for row {i}, column {j}")
-            ones = [m for m, w in zip(range(1, s + 1), weights) if round(w) == 1]
-            if len(ones) != 1:
-                raise ValueError(f"cell ({i},{j}) does not select exactly one level")
-            col[i - 1] = ones[0]
-        cols.append(col)
-    a = Array(np.column_stack(cols), s)
+    s, n, layout = inst.s, inst.n_runs, _layout(inst)
+    names = layout.names[: layout.deviation[-1] + 1]  # x, z and the deviations
+    present = np.fromiter(map(assignment.__contains__, names), bool, len(names))
+    given = np.array(list(map(assignment.get, names, itertools.repeat(np.nan))), np.float64)
+    infinite = np.flatnonzero(present & ~np.isfinite(given))
+    if infinite.size:
+        raise ValueError(f"value of {names[infinite[0]]} is not finite")
+    missing = ~present[layout.x].all(axis=2)
+    ones = np.round(given[layout.x]) == 1
+    bad = (missing | (ones.sum(axis=2) != 1)).T  # column by column
+    if bad.any():
+        j, i = divmod(int(np.argmax(bad)), n)
+        if missing[i, j]:
+            raise ValueError(f"assignment is missing x values for row {i + 1}, column {j + 3}")
+        raise ValueError(f"cell ({i + 1},{j + 3}) does not select exactly one level")
+    a = Array(np.column_stack([canonical_head(s, inst.lam), ones.argmax(axis=2) + 1]), s)
 
-    expected = canonical_assignment(inst, a)
-    bounds = {d.name: d for d in _deviations(inst)}
-    deltas = {name: v for name, v in expected.items() if name in bounds}
-    deltas_match = all(
-        round(float(assignment[name])) == value
-        for name, value in deltas.items()
-        if name in assignment
-    )
-    bounds_ok = all(bounds[name].lower <= v <= bounds[name].upper for name, v in deltas.items())
-    # a list, not a generator: every given z is rounded, so a NaN anywhere raises
-    z_ok = all([
-        (round(float(assignment[name])) == 1) == (value == 1)
-        for name, value in expected.items()
-        if name.startswith("z_") and name in assignment
-    ])
+    expected = _canonical_values(inst, layout, a)
+    dev, z = layout.deviation, layout.z.ravel()
+    deltas = expected[dev]
+    deltas_match = bool(np.all((np.round(given[dev]) == deltas) | ~present[dev]))
+    bounds_ok = bool(np.all((layout.lower[dev] <= deltas) & (deltas <= layout.upper[dev])))
+    z_ok = bool(np.all(((np.round(given[z]) == 1) == (expected[z] == 1)) | ~present[z]))
 
     p = inst.p
-    objective = sum(abs(v) ** p for v in deltas.values())
-    delta1_term = sum(abs(v) ** p for n_, v in deltas.items() if n_.startswith("d1"))
+    objective = int((np.abs(deltas) ** p).sum())
+    delta1_term = int((np.abs(expected[layout.d1]) ** p).sum())
     unb = unbalance(a, 2, p)
     identity_ok = objective - delta1_term == unb
     return VerificationReport(

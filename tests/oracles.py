@@ -14,8 +14,11 @@ loop of ``symmetry``), kept verbatim as the reference for the orbit gather,
 and the IP model's earlier pinned-prefix rows and solution audit
 (``prefix_constraints_loop``, ``verify_solution_loop``: row formulas per
 pinned column, per-family bound formulas and a per-row z loop), kept verbatim
-as the reference for the versions that read ``canonical_head``,
-``_deviations`` and ``canonical_assignment``, and the IP model's earlier
+as the reference for the versions that read ``canonical_head`` and
+``canonical_assignment``, the earlier per-cell ``canonical_assignment_loop``
+and the deviation lists it and the other IP references read (``_deviations``
+for names and bounds, ``_delta_values`` for values), kept verbatim as the
+reference for the value vectors over ``ipmodel._layout``, and the IP model's earlier
 object form (``IpModelLists`` with ``build_model_loop``,
 ``add_symmetry_loop``, ``emit_lp_loop``, ``emit_mps_loop`` and
 ``parse_lp_loop``: lists of ``Variable`` and ``Constraint`` filled one name
@@ -49,12 +52,9 @@ from aoakit.ipmodel import (
     _NAME,
     _balanced_column_count,
     _balanced_columns,
-    _delta_values,
-    _deviations,
     _parts,
     _prefix_row_map,
-    _x,
-    _z,
+    arrange_canonical,
     canonical_head,
 )
 from aoakit.search import ObjectiveVector, OracleResult
@@ -557,6 +557,14 @@ def compress_loop(a: Array, kind: str, param: int | None = None) -> SymmetricEnc
     )
 
 
+def _x(i, j, m) -> str:
+    return f"x_{i}_{j}_{m}"
+
+
+def _z(i, c, l) -> str:
+    return f"z_{i}_{c}_{l}"
+
+
 def prefix_constraints_loop(inst: IpInstance) -> list[Constraint]:
     """The aoa31 and aoa32 rows of the earlier ``build_model``, kept verbatim.
 
@@ -600,6 +608,69 @@ def prefix_constraints_loop(inst: IpInstance) -> list[Constraint]:
                         lam,
                     )
                 )
+    return out
+
+
+def _deviations(inst: IpInstance) -> list[Variable]:
+    """The deviation variables d0, d1, d2, d3 with their bounds, in model order."""
+    s, lam, eps, lo = inst.s, inst.lam, inst.epsilon, inst.delta_lower
+    deltas: list[Variable] = []
+    for c in range(1, len(inst.column_pairs) + 1):
+        for l in range(1, s * s + 1):
+            deltas.append(Variable(f"d0_{c}_{l}", "general", lo, eps))
+    for m in range(1, s + 1):
+        deltas.append(Variable(f"d1_{m}", "general", -lam * s, lam * s * s - lam * s))
+    for fam in ("d2", "d3"):
+        for m in range(1, s + 1):
+            for mp in range(1, s + 1):
+                for j in inst.free_columns:
+                    deltas.append(Variable(f"{fam}_{m}_{mp}_{j}", "general", lo, eps))
+    return deltas
+
+
+def _delta_values(inst: IpInstance, a: Array) -> dict[str, int]:
+    """All deviation values of a canonical-head array."""
+    s, k, lam = inst.s, inst.k, inst.lam
+    table = _count_table(a, 2).tolist()
+    rows = _pair_rows(k).tolist()
+    out: dict[str, int] = {}
+    for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
+        for l, count in enumerate(table[rows[j1 - 1][j2 - 1]], start=1):
+            out[f"d0_{c}_{l}"] = count - lam
+    for m in range(1, s + 1):
+        out[f"d1_{m}"] = int(np.sum(a.cells[:, k - 1] == m)) - lam * s
+    for m in range(1, s + 1):
+        for mp in range(1, s + 1):
+            code = (mp - 1) * s + m - 1  # pinned column level mp, free column level m
+            for j in inst.free_columns:
+                out[f"d2_{m}_{mp}_{j}"] = table[rows[0][j - 1]][code] - lam
+                out[f"d3_{m}_{mp}_{j}"] = table[rows[1][j - 1]][code] - lam
+    return out
+
+
+def canonical_assignment_loop(inst: IpInstance, a: Array) -> dict[str, int]:
+    """Variable values encoding the given array (rows arranged canonically)."""
+    if a.n_levels != inst.s or a.n_factors != inst.k or a.n_runs != inst.n_runs:
+        raise ValueError("array shape does not match the instance")
+    a = arrange_canonical(a)
+    s = inst.s
+    out: dict[str, int] = {}
+    for i in range(1, inst.n_runs + 1):
+        for j in inst.free_columns:
+            for m in range(1, s + 1):
+                out[_x(i, j, m)] = int(a.cells[i - 1, j - 1] == m)
+    for i in range(1, inst.n_runs + 1):
+        for c, (j1, j2) in enumerate(inst.column_pairs, start=1):
+            lval = s * (int(a.cells[i - 1, j1 - 1]) - 1) + int(a.cells[i - 1, j2 - 1])
+            for l in range(1, s * s + 1):
+                out[_z(i, c, l)] = int(l == lval)
+    deltas = _delta_values(inst, a)
+    out.update(deltas)
+    if inst.p == 1:
+        for name, value in deltas.items():
+            plus, minus, _ = _parts(name)
+            out[plus] = max(value, 0)
+            out[minus] = max(-value, 0)
     return out
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,20 @@ class TestIp:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_oversized_model_is_refused_before_allocation(self, capsys, tmp_path):
+        # s = 12, k = 14: 1,428,228 variables, 1,368,576 of them z
+        out = tmp_path / "big.lp"
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "ip", 12, 14, "-o", out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (1, "")
+        assert err == "error: model has 1428228 variables (> 1000000)\n"
+        assert not out.exists()
+        assert peak <= 1 << 20
+
 
 class TestIpVerify:
     def write_solution(self, tmp_path, inst, a):
@@ -480,6 +495,26 @@ class TestIpVerify:
         bad.write_text("x_1_3_1 1\n")
         code, _, _ = run(capsys, "ip-verify", 2, 4, bad)
         assert code == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("x_1_3_1", "inf"), ("z_2_1_3", "nan"), ("d3_2_1_4", "-inf"),
+    ])
+    def test_non_finite_value_is_parse_error(self, capsys, tmp_path, name, value):
+        inst = IpInstance(s=2, k=4, lam=2, p=1, epsilon=1)
+        assignment = canonical_assignment(inst, self.oa_8_4_2())
+        assignment[name] = value
+        sol = tmp_path / "sol.txt"
+        sol.write_text("".join(f"{n} {v}\n" for n, v in assignment.items()))
+        code, out, err = run(capsys, "ip-verify", 2, 4, sol, "--lam", 2)
+        assert (code, out) == (2, "")
+        assert err == f"error: {sol}:1:1: value of {name} is not finite\n"
+
+    def test_oversized_model_is_refused(self, capsys, tmp_path):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("x_1_3_1 1\n")
+        code, out, err = run(capsys, "ip-verify", 12, 14, sol)
+        assert (code, out) == (2, "")
+        assert err.endswith("model has 1428228 variables (> 1000000)\n")
 
     def test_tampered_product_variable_fails_verification(self, capsys, tmp_path):
         inst = IpInstance(s=2, k=4, lam=2, p=1, epsilon=1)

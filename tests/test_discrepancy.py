@@ -1,5 +1,6 @@
 """Tests for the L2 discrepancy measures and their discrete counterparts."""
 
+import importlib
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from aoakit import (
     wd,
     wd_coupling,
 )
-from aoakit.arrays import Array, cyclic_oa, unbalance
+from aoakit.arrays import Array, cyclic_oa, hamming_similarity, unbalance
 from aoakit.constructions import ConstructionSpec, ak_half
 from aoakit.discrepancy import BoundCheck, PointSet, _cross_min
 
@@ -427,6 +428,20 @@ class TestBoundChecks:
             third = ((params.a - params.b) / 3 + params.b) ** 12
             rhs = float(i2[name] ** 12 - 2 * _cross_min(name, 3) ** 12 + third)
             assert chk.rhs_sq == rhs + float(dd(a, params).sq_hamming)  # the same Hamming form
+
+    def test_hamming_matrix_is_taken_once(self, rng, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return hamming_similarity(a)
+
+        # the package exports a function named discrepancy, so import the module by path
+        module = importlib.import_module("aoakit.discrepancy")
+        monkeypatch.setattr(module, "hamming_similarity", counted)
+        a = random_array(rng, n_runs=20, n_factors=5, n_levels=3)
+        check_discrepancy_bounds(a)
+        assert len(calls) == 1
 
     def test_reports_all_three_kernels(self, t0):
         out = check_discrepancy_bounds(t0)

@@ -36,6 +36,7 @@ from oracles import (
     _wrap,
     add_symmetry_loop,
     build_model_loop,
+    canonical_assignment_loop,
     emit_lp_loop,
     emit_mps_loop,
     evaluate_model_loop,
@@ -163,6 +164,37 @@ class TestModelShape:
         inst = IpInstance(s=s, k=k, lam=lam)
         rows = [c for c in build_model(inst).constraints if c.name.startswith("aoa3")]
         assert rows == prefix_constraints_loop(inst)
+
+    @pytest.mark.parametrize("s, k, lam, p", [
+        (2, 3, 1, 1), (2, 4, 2, 2), (3, 5, 1, 1), (4, 6, 2, 2), (7, 8, 1, 1),
+    ])
+    def test_size_guard_counts_the_table_it_lays_out(self, monkeypatch, s, k, lam, p):
+        inst = IpInstance(s=s, k=k, lam=lam, p=p)
+        size = len(build_model(inst).names)
+        monkeypatch.setattr(ipmodel_mod, "_MAX_VARIABLES", size)
+        build_model(inst)
+        monkeypatch.setattr(ipmodel_mod, "_MAX_VARIABLES", size - 1)
+        a = Array(np.column_stack([canonical_head(s, lam), np.ones((inst.n_runs, k - 2), int)]), s)
+        message = re.escape(f"model has {size} variables (> {size - 1})")
+        for refused in (build_model, lambda i: canonical_assignment(i, a),
+                        lambda i: verify_solution(i, {})):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                refused(inst)
+
+
+class TestCanonicalAssignment:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(3, 7), st.integers(1, 2), st.integers(1, 2),
+           st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_equals_the_per_cell_loop(self, s, k, lam, p, epsilon, seed):
+        inst = IpInstance(s=s, k=k, lam=lam, p=p, epsilon=epsilon)
+        rng = np.random.default_rng(seed)
+        free = rng.integers(1, s + 1, size=(inst.n_runs, k - 2))
+        cells = np.column_stack([canonical_head(s, lam), free])[rng.permutation(inst.n_runs)]
+        got = canonical_assignment(inst, Array(cells, s))
+        assert got == canonical_assignment_loop(inst, Array(cells, s))
+        assert all(type(v) is int for v in got.values())
+        assert list(got) == build_model(inst).names  # keys in the model's variable order
 
 
 class TestFeasibility:
@@ -340,9 +372,17 @@ class TestVerifySolution:
         assert not report.z_ok
         assert not report.ok
 
+    @staticmethod
+    def _outcome(verify, inst, assignment):
+        try:
+            return verify(inst, assignment)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
     # z values tampered to 0, 1 or 2, a deviation off by one, some z missing,
-    # or x values only
-    @settings(max_examples=40, deadline=None)
+    # or x values only; then x values dropped, or cells given two levels or
+    # none, in several columns (the first bad cell, column by column, is reported)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 4),
         st.integers(1, 2),
@@ -352,8 +392,9 @@ class TestVerifySolution:
         st.sampled_from([None, 0.0, 1.0, 2.0]),
         st.sampled_from([0.0, 1.0, -1.0]),
         st.sampled_from(["none", "some z", "all but x"]),
+        st.lists(st.sampled_from(["drop", "double", "none", "half"]), max_size=4),
     )
-    def test_report_equals_per_row_loop(self, s, lam, p, k, seed, z_value, shift, drop):
+    def test_report_equals_per_row_loop(self, s, lam, p, k, seed, z_value, shift, drop, faults):
         inst = IpInstance(s=s, k=k, lam=lam, p=p)
         rng = np.random.default_rng(seed)
         free = rng.integers(1, s + 1, size=(inst.n_runs, k - 2))
@@ -369,7 +410,29 @@ class TestVerifySolution:
                 del assignment[name]
         elif drop == "all but x":
             assignment = {n: v for n, v in assignment.items() if n.startswith("x_")}
-        assert verify_solution(inst, assignment) == verify_solution_loop(inst, assignment)
+        cells = rng.choice(free.size, size=len(faults), replace=False).tolist()
+        for fault, (i, j) in zip(faults, map(divmod, cells, [k - 2] * len(cells))):
+            cell, level = f"x_{i + 1}_{j + 3}_", int(free[i, j])
+            if fault == "drop":
+                del assignment[cell + str(int(rng.integers(1, s + 1)))]
+            elif fault == "double":
+                assignment[cell + str(level % s + 1)] = 1.0
+            else:
+                assignment[cell + str(level)] = 0.0 if fault == "none" else 0.5
+        got = self._outcome(verify_solution, inst, assignment)
+        assert got == self._outcome(verify_solution_loop, inst, assignment)
+        assert isinstance(got, str) == bool(faults)
+
+    @pytest.mark.parametrize("name, value", [
+        ("x_3_4_2", float("inf")), ("z_2_1_3", float("nan")), ("d0_1_4", float("-inf")),
+        ("d1_2", float("nan")), ("d2_1_2_3", float("-inf")), ("d3_2_1_4", float("inf")),
+    ])
+    def test_non_finite_value_is_refused(self, name, value):
+        inst = IpInstance(s=2, k=4, lam=2, p=1)
+        assignment = self._assignment(inst, oa_8_4_2())
+        assignment[name] = value
+        with pytest.raises(ValueError, match=f"^value of {name} is not finite$"):
+            verify_solution(inst, assignment)
 
     def test_wrong_delta_claim_detected(self):
         inst = IpInstance(s=2, k=4, lam=2, p=2)
