@@ -6,13 +6,20 @@ a level tuple ``x`` in a column tuple ``j`` is the number of rows matching
 tuple exactly ``N / s^t`` times. The tolerance is the worst deviation from
 that target, the p-unbalance the sum of p-th powers of all deviations.
 
-All strength-t counting goes through one table, ``_count_table(a, t)``: row r
-holds the level-tuple counts of the r-th column t-tuple.  Tolerance,
-unbalance, bandwidth and ``is_oa`` here, the pairwise criteria in ``metrics``
-and the incremental tables of ``search`` and ``ipmodel`` are all read off it.
-The exact oracles of ``search`` and ``ipmodel`` share one state scan,
-``_state_blocks``: it counts each prefix's pairs once and scores its last
-columns in integer blocks.
+All strength-t counting goes through one generator, ``_count_chunks(a, t)``,
+which yields the rows of the count table in blocks within ``_CHUNK_BYTES``:
+row r holds the level-tuple counts of the r-th column t-tuple.
+``_count_table(a, t)`` stacks the blocks into the whole table, for the
+callers that need rows: the pairwise criteria in ``metrics`` and the
+incremental tables of ``search`` and ``ipmodel``.  ``_count_histogram(a, t)``
+reduces each block as it is counted to how many cells hold each count 0..N;
+it is kept on the array, so each strength is counted once per array.
+``is_oa``, tolerance, bandwidth and the integer-p unbalance are read off the
+histogram, and every metric built on them (D1/D2, the catalog snapshot, the
+construction checks) with them; the float-p unbalance sums the blocks' rows
+as they arrive.  The exact oracles of ``search`` and ``ipmodel`` share one
+state scan, ``_state_blocks``: it counts each prefix's pairs once and scores
+its last columns in integer blocks.
 
 All counting metrics are exact: deviations are computed as integers scaled by
 ``s^t`` and reduced at the end, so results are python ints (or Fractions when
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +77,9 @@ class Array:
 
     cells: np.ndarray
     n_levels: int
+    _histograms: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )  # strength -> ``_count_histogram``
 
     def __post_init__(self):
         cells = np.array(self.cells, dtype=np.int64)  # a copy: the caller's array stays writable
@@ -116,7 +126,8 @@ def _check_strength(a: Array, t: int) -> None:
 
 
 _CHUNK_BYTES = 1 << 20
-"""Bound on the temporaries of one chunk of column tuples in ``_count_table``.
+"""Bound on the temporaries of one chunk of column tuples in ``_count_chunks``
+(and of one column block in ``hamming_similarity``).
 
 Kept small on purpose: at 16 MiB each chunk's temporaries were fresh
 ``mmap`` pages from glibc, whose page faults cost the counting core about a
@@ -125,33 +136,63 @@ already mapped.
 """
 
 
-def _count_table(a: Array, t: int) -> np.ndarray:
-    """Level-tuple counts of every column t-tuple.
+def _count_chunks(a: Array, t: int):
+    """Yield the rows of ``_count_table(a, t)`` in consecutive blocks.
 
-    Returns an int64 matrix of shape C(k,t) x s^t.  Row r counts the level
-    tuples of the r-th column tuple in ``itertools.combinations`` order; a
-    level tuple is coded base s with the first column most significant.
-    Column tuples are counted in chunks by one offset-coded ``np.bincount``
-    each, so the temporaries of a chunk stay within ``_CHUNK_BYTES``.
+    Each block counts its column tuples by one offset-coded ``np.bincount``,
+    sized so that the block's temporaries stay within ``_CHUNK_BYTES``.
+    ``t`` must already be checked.
     """
-    _check_strength(a, t)
     n, s, st = a.n_runs, a.n_levels, a.n_levels**t
-    levels = np.ascontiguousarray(a.cells.T - 1)
-    table = np.empty((math.comb(a.n_factors, t), st), dtype=np.int64)
+    # levels stay 1-based, which saves a copy per call; the offsets take off ``ones``,
+    # the code of the all-ones level tuple
+    levels = np.ascontiguousarray(a.cells.T)
+    ones = (st - 1) // (s - 1) if s > 1 else t
     step = max(1, _CHUNK_BYTES // (8 * (2 * n + st + t)))
     tuples = itertools.combinations(range(a.n_factors), t)
-    for lo in range(0, len(table), step):
+    for _ in range(0, math.comb(a.n_factors, t), step):
         flat = itertools.chain.from_iterable(itertools.islice(tuples, step))
         chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
         code = levels[chunk[:, 0]]
         for c in range(1, t):
             code *= s
             code += levels[chunk[:, c]]
-        code += np.arange(0, len(chunk) * st, st)[:, None]
-        table[lo : lo + len(chunk)] = np.bincount(
-            code.ravel(), minlength=len(chunk) * st
-        ).reshape(-1, st)
+        code += np.arange(-ones, len(chunk) * st - ones, st)[:, None]
+        yield np.bincount(code.ravel(), minlength=len(chunk) * st).reshape(-1, st)
+
+
+def _count_table(a: Array, t: int) -> np.ndarray:
+    """Level-tuple counts of every column t-tuple.
+
+    Returns an int64 matrix of shape C(k,t) x s^t.  Row r counts the level
+    tuples of the r-th column tuple in ``itertools.combinations`` order; a
+    level tuple is coded base s with the first column most significant.
+    """
+    _check_strength(a, t)
+    table = np.empty((math.comb(a.n_factors, t), a.n_levels**t), dtype=np.int64)
+    lo = 0
+    for chunk in _count_chunks(a, t):
+        table[lo : lo + len(chunk)] = chunk
+        lo += len(chunk)
     return table
+
+
+def _count_histogram(a: Array, t: int) -> np.ndarray:
+    """Read-only int64 vector of length N+1: entry c is how many cells of
+    ``_count_table(a, t)`` hold the count c.
+
+    Accumulated chunk by chunk, so the table is never held whole, and kept on
+    ``a`` so that each strength is counted once per array.
+    """
+    hist = a._histograms.get(t)
+    if hist is None:
+        _check_strength(a, t)
+        hist = np.zeros(a.n_runs + 1, dtype=np.int64)
+        for chunk in _count_chunks(a, t):
+            hist += np.bincount(chunk.ravel(), minlength=a.n_runs + 1)
+        hist.setflags(write=False)
+        a._histograms[t] = hist
+    return hist
 
 
 def _level_digits(index: np.ndarray, n: int, s: int) -> np.ndarray:
@@ -287,19 +328,24 @@ def count_tuple(a: Array, x, j) -> int:
     return int(mask.sum())
 
 
+def _extreme_counts(hist: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest count that some table cell holds."""
+    held = np.flatnonzero(hist)
+    return int(held[0]), int(held[-1])
+
+
 def is_oa(a: Array, t: int) -> bool:
     """Whether every t-tuple count equals N/s^t exactly (strength-t OA)."""
-    table = _count_table(a, t)
-    return bool(np.all(table * a.n_levels**t == a.n_runs))
+    low, high = _extreme_counts(_count_histogram(a, t))
+    return low == high and low * a.n_levels**t == a.n_runs
 
 
 def tolerance(a: Array, t: int) -> Exact:
     """Largest deviation ``|count - N/s^t|`` over all tuples and columns."""
-    table = _count_table(a, t)
+    low, high = _extreme_counts(_count_histogram(a, t))
     st, n = a.n_levels**t, a.n_runs
     # |c*s^t - N| is convex in c, so the extreme counts attain the maximum
-    worst = max(abs(int(table.min()) * st - n), abs(int(table.max()) * st - n))
-    return _as_exact(worst, st)
+    return _as_exact(max(abs(low * st - n), abs(high * st - n)), st)
 
 
 def unbalance(a: Array, t: int, p) -> Exact | float:
@@ -310,25 +356,40 @@ def unbalance(a: Array, t: int, p) -> Exact | float:
     _check_strength(a, t)
     if p < 1:
         raise ValueError("p must be >= 1")
-    table = _count_table(a, t)
     st, n = a.n_levels**t, a.n_runs
     if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
         p = int(p)
-        counts, weights = np.unique(table, return_counts=True)
-        devs = np.abs(counts * st - n).tolist()
-        total = sum(w * d**p for d, w in zip(devs, weights.tolist()))
+        hist = _count_histogram(a, t)
+        held = np.flatnonzero(hist)
+        total = sum(w * abs(c * st - n) ** p for c, w in zip(held.tolist(), hist[held].tolist()))
         return _as_exact(total, st**p)
     total_f = 0.0  # summed row by row, in table order: the float result depends on it
-    for row_sum in (np.abs(table - n / st) ** p).sum(axis=1).tolist():
-        total_f += row_sum
+    for chunk in _count_chunks(a, t):
+        for row_sum in (np.abs(chunk - n / st) ** p).sum(axis=1).tolist():
+            total_f += row_sum
     return total_f
 
 
+def _indicator_gram(cells: np.ndarray, s: int) -> np.ndarray:
+    """float32 E·Eᵀ of the 0/1 level-indicator matrix E of some columns' cells."""
+    onehot = (cells[:, :, None] == np.arange(1, s + 1)).reshape(len(cells), -1)
+    onehot = onehot.astype(np.float32)
+    return onehot @ onehot.T
+
+
 def hamming_similarity(a: Array) -> np.ndarray:
-    """N×N matrix of coordinate-agreement counts between all row pairs."""
-    h = np.zeros((a.n_runs, a.n_runs), dtype=np.int64)
-    for col in np.ascontiguousarray(a.cells.T):
-        h += col[:, None] == col[None, :]
+    """N×N matrix of coordinate-agreement counts between all row pairs.
+
+    The Gram product E·Eᵀ of the N×(k·s) 0/1 level-indicator matrix E,
+    summed over blocks of columns whose indicators stay within
+    ``_CHUNK_BYTES``.  Each entry of a block's product counts agreements
+    within the block, an integer below 2^24, so float32 holds it exactly.
+    """
+    n, s = a.n_runs, a.n_levels
+    h = np.zeros((n, n), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (4 * n * s))
+    for lo in range(0, a.n_factors, step):
+        np.add(h, _indicator_gram(a.cells[:, lo : lo + step], s), out=h, casting="unsafe")
     return h
 
 
@@ -368,8 +429,8 @@ def bandwidth(a: Array, t: int) -> Exact:
 
     Sandwiched between the tolerance and twice the tolerance.
     """
-    table = _count_table(a, t)
-    return int(table.max()) - int(table.min())
+    low, high = _extreme_counts(_count_histogram(a, t))
+    return high - low
 
 
 def rao_max_factors(n_runs: int, n_levels: int) -> int:

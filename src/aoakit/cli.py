@@ -218,6 +218,7 @@ def _cmd_ip(args) -> int:
 
 def _cmd_ip_verify(args) -> int:
     inst = _instance_from_args(args)
+    ipmodel._model_size(inst)  # an oversized instance is refused before the file is read
     try:
         assignment = ipmodel.parse_solution(Path(args.solution).read_text(encoding="ascii"))
         report = ipmodel.verify_solution(inst, assignment)

@@ -44,7 +44,8 @@ their plus and minus parts).  ``build_model`` takes its table and indices
 from it, ``canonical_assignment`` fills one value per variable by index
 arithmetic over the pair-count table, and ``verify_solution`` gathers a
 solution into the same order.  ``_layout`` counts the variables in closed
-form first and refuses a model of more than ``_MAX_VARIABLES``.
+form first (``_model_size``) and refuses a model of more than
+``_MAX_VARIABLES``.
 """
 
 from __future__ import annotations
@@ -331,18 +332,26 @@ _MAX_VARIABLES = 10**6
 _Layout = namedtuple("_Layout", "names kinds lower upper x z d0 d1 d23 deviation plus minus")
 
 
+def _model_size(inst: IpInstance) -> tuple[int, list[int]]:
+    """The number of model variables and the sizes of the deviation blocks (d0, d1, then d2
+    and d3), in closed form; raises ``ValueError`` above ``_MAX_VARIABLES`` variables."""
+    s, n, free, pairs = inst.s, inst.n_runs, inst.k - 2, math.comb(inst.k - 2, 2)
+    blocks = [pairs * s * s, s, 2 * s * s * free]
+    size = n * free * s + n * pairs * s * s + sum(blocks) * (3 if inst.p == 1 else 1)
+    if size > _MAX_VARIABLES:
+        raise ValueError(f"model has {size} variables (> {_MAX_VARIABLES})")
+    return size, blocks
+
+
 def _layout(inst: IpInstance) -> _Layout:
     """The variable table (x, z, d0, d1, d2, d3, then each deviation's plus and minus part)
     and the table index of every block: ``x[i-1, j-3, m-1]``, ``z[i-1, c-1, l-1]``,
     ``d0[c-1, l-1]``, ``d1[m-1]``, ``d23[f, m-1, mp-1, j-3]`` (f = 0 for d2, 1 for d3),
     ``deviation`` (d0..d3 in order) and its parts ``plus`` and ``minus`` (empty for p = 2).
     """
+    size, blocks = _model_size(inst)
     s, lam, eps, lo, n = inst.s, inst.lam, inst.epsilon, inst.delta_lower, inst.n_runs
     free, pairs, ss = inst.k - 2, math.comb(inst.k - 2, 2), s * s
-    blocks = [pairs * ss, s, 2 * ss * free]  # d0, d1, d2 and d3
-    size = n * free * s + n * pairs * ss + sum(blocks) * (3 if inst.p == 1 else 1)
-    if size > _MAX_VARIABLES:
-        raise ValueError(f"model has {size} variables (> {_MAX_VARIABLES})")
     runs, columns, levels = range(1, n + 1), inst.free_columns, range(1, s + 1)
     pair_ids, codes = range(1, pairs + 1), range(1, ss + 1)
     names = _names("x", runs, columns, levels) + _names("z", runs, pair_ids, codes)
@@ -422,10 +431,9 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     """
     if inst.symmetry is None:
         raise ValueError("instance declares no symmetry")
-    s = inst.s
-    layout = _layout(inst)
-    x = layout.x
-    if model.names[x.size - 1 : x.size] != layout.names[x.size - 1 : x.size]:
+    s, n, free = inst.s, inst.n_runs, inst.k - 2
+    x = np.arange(n * free * s).reshape(n, free, s)
+    if model.names[x.size - 1 : x.size] != [f"x_{n}_{inst.k}_{s}"]:
         raise ValueError("model was not built for this instance")
 
     def tie(a: np.ndarray, b: np.ndarray, name) -> None:

@@ -27,7 +27,11 @@ the search's earlier per-move scoring (``driven`` and ``_PairTables``: the
 expanded cells a move sets, and dict-based count changes per move), kept
 verbatim as the reference for the block scorer, and the earlier
 ``evaluate_model_loop`` over the object views, kept as the reference for the
-array-backed audit.
+array-backed audit, and the earlier full-table ``is_oa``, ``tolerance``,
+``unbalance`` and ``bandwidth`` (``is_oa_table``, ``tolerance_table``,
+``unbalance_table``, ``bandwidth_table``: each reduces the whole
+``_count_table``), kept verbatim as the reference for the versions read off
+the count histogram and, for non-integer p, summed chunk by chunk.
 """
 
 from __future__ import annotations
@@ -40,7 +44,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from aoakit.arrays import Array, _count_table, _pair_rows, tolerance, unbalance
+from aoakit.arrays import (
+    Array,
+    _as_exact,
+    _check_strength,
+    _count_table,
+    _pair_rows,
+    tolerance,
+    unbalance,
+)
 from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
@@ -98,6 +110,49 @@ def unbalance_slow(a: Array, t: int, p: int):
         for x in itertools.product(range(1, a.n_levels + 1), repeat=t):
             total += abs(count_tuple_slow(a, x, cols) - target) ** p
     return total
+
+
+def is_oa_table(a: Array, t: int) -> bool:
+    """Whether every t-tuple count equals N/s^t exactly (strength-t OA)."""
+    table = _count_table(a, t)
+    return bool(np.all(table * a.n_levels**t == a.n_runs))
+
+
+def tolerance_table(a: Array, t: int):
+    """Largest deviation ``|count - N/s^t|`` over all tuples and columns."""
+    table = _count_table(a, t)
+    st, n = a.n_levels**t, a.n_runs
+    # |c*s^t - N| is convex in c, so the extreme counts attain the maximum
+    worst = max(abs(int(table.min()) * st - n), abs(int(table.max()) * st - n))
+    return _as_exact(worst, st)
+
+
+def unbalance_table(a: Array, t: int, p):
+    """Sum of p-th powers of all deviations ``|count - N/s^t|``.
+
+    Exact (int or Fraction) for integer ``p``; float for non-integer ``p``.
+    """
+    _check_strength(a, t)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    table = _count_table(a, t)
+    st, n = a.n_levels**t, a.n_runs
+    if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
+        p = int(p)
+        counts, weights = np.unique(table, return_counts=True)
+        devs = np.abs(counts * st - n).tolist()
+        total = sum(w * d**p for d, w in zip(devs, weights.tolist()))
+        return _as_exact(total, st**p)
+    total_f = 0.0  # summed row by row, in table order: the float result depends on it
+    for row_sum in (np.abs(table - n / st) ** p).sum(axis=1).tolist():
+        total_f += row_sum
+    return total_f
+
+
+def bandwidth_table(a: Array, t: int):
+    """Largest gap between any two t-tuple counts, across all column tuples."""
+    table = _count_table(a, t)
+    return int(table.max()) - int(table.min())
 
 
 def hamming_slow(a: Array):

@@ -27,13 +27,18 @@ from aoakit.arrays import (
     unbalance2_via_hamming,
 )
 
+from aoakit import fileio
 from conftest import random_array as draw_array
 from oracles import (
+    bandwidth_table,
     count_tuple_slow,
     hamming_slow,
+    is_oa_table,
     tolerance_slow,
+    tolerance_table,
     unbalance2_from_hamming_slow,
     unbalance_slow,
+    unbalance_table,
 )
 
 
@@ -183,6 +188,68 @@ class TestCountTable:
                 assert bool(pairs[np.ix_(cols, cols)].all()) == want
 
 
+class TestCountHistogram:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(), st.integers(1, 3))
+    def test_metrics_match_the_full_table_and_slow_oracles(self, a, p):
+        strengths = range(1, min(3, a.n_factors) + 1)
+        fresh = Array(a.cells, a.n_levels)
+        want = {t: (is_oa_table(fresh, t), tolerance_table(fresh, t), bandwidth_table(fresh, t),
+                    unbalance_table(fresh, t, p)) for t in strengths}
+        for _ in range(2):  # the second round reads every strength's histogram from the memo
+            for t in strengths:
+                got = (is_oa(a, t), tolerance(a, t), bandwidth(a, t), unbalance(a, t, p))
+                assert got == want[t]
+                assert list(map(type, got)) == list(map(type, want[t]))
+        for t in strengths:
+            assert tolerance(a, t) == tolerance_slow(a, t)
+            assert unbalance(a, t, p) == unbalance_slow(a, t, p)
+            hist = arrays_mod._count_histogram(a, t)
+            table = arrays_mod._count_table(a, t)
+            assert np.array_equal(hist, np.bincount(table.ravel(), minlength=a.n_runs + 1))
+            with pytest.raises(ValueError):
+                hist[0] = 1
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(), st.integers(1, 3), st.sampled_from([1.5, 2.5]),
+           st.sampled_from([1, 1 << 9, 1 << 20]))
+    def test_float_unbalance_is_bit_equal_to_the_row_loop(self, a, t, p, chunk_bytes):
+        t = min(t, a.n_factors)
+        want = unbalance_table(a, t, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arrays_mod, "_CHUNK_BYTES", chunk_bytes)
+            got = unbalance(a, t, p)
+        assert got.hex() == want.hex()
+
+    def test_snapshot_counts_the_table_once(self, rng, monkeypatch):
+        calls = []
+        count_chunks = arrays_mod._count_chunks
+
+        def counted(a, t):
+            calls.append((a, t))
+            return count_chunks(a, t)
+
+        monkeypatch.setattr(arrays_mod, "_count_chunks", counted)
+        a = draw_array(rng, n_runs=18, n_factors=6, n_levels=3)
+        fileio.metrics_snapshot(a)
+        assert len(calls) == 1 and calls[0][0] is a and calls[0][1] == 2
+
+    def test_strength_three_metrics_do_not_hold_the_table(self, rng):
+        a = draw_array(rng, n_runs=64, n_factors=60, n_levels=4)
+        assert comb(60, 3) * 4**3 * 8 > 16 << 20  # the table, were it held whole
+        for metric in (lambda b: tolerance(b, 3), lambda b: unbalance(b, 3, 2),
+                       lambda b: unbalance(b, 3, 1.5)):
+            b = Array(a.cells, a.n_levels)  # nothing memoized
+            tracemalloc.start()
+            try:
+                metric(b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20
+
+
 class TestToleranceUnbalance:
     @settings(max_examples=50, deadline=None)
     @given(arrays(), st.integers(1, 3), st.integers(1, 3))
@@ -241,6 +308,15 @@ class TestHammingIdentity:
             h = hamming_similarity(a)
             assert h.dtype == np.int64
             assert np.array_equal(h, np.array(hamming_slow(a)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(max_factors=8, max_levels=5), st.sampled_from([1, 1 << 8, 1 << 20]))
+    def test_gram_product_matches_slow_in_any_column_blocks(self, a, chunk_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arrays_mod, "_CHUNK_BYTES", chunk_bytes)
+            h = hamming_similarity(a)
+        assert h.dtype == np.int64
+        assert np.array_equal(h, np.array(hamming_slow(a)))
 
     def test_hamming_temporaries_are_quadratic_in_runs_only(self, rng):
         a = draw_array(rng, n_runs=200, n_factors=150, n_levels=3)

@@ -510,11 +510,13 @@ class TestIpVerify:
         assert err == f"error: {sol}:1:1: value of {name} is not finite\n"
 
     def test_oversized_model_is_refused(self, capsys, tmp_path):
+        # refused like `ip` (exit 1), before the solution file is opened
         sol = tmp_path / "sol.txt"
         sol.write_text("x_1_3_1 1\n")
-        code, out, err = run(capsys, "ip-verify", 12, 14, sol)
-        assert (code, out) == (2, "")
-        assert err.endswith("model has 1428228 variables (> 1000000)\n")
+        for path in (sol, tmp_path / "absent.txt"):
+            code, out, err = run(capsys, "ip-verify", 12, 14, path)
+            assert (code, out) == (1, "")
+            assert err == "error: model has 1428228 variables (> 1000000)\n"
 
     def test_tampered_product_variable_fails_verification(self, capsys, tmp_path):
         inst = IpInstance(s=2, k=4, lam=2, p=1, epsilon=1)
