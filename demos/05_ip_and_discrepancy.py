@@ -40,7 +40,7 @@ from aoakit.ipmodel import (
 inst = IpInstance(s=2, k=4, lam=1, p=1, epsilon=1)
 model = build_model(inst)
 print(f"model for 4 runs x 4 factors x 2 levels: "
-      f"{len(model.variables)} variables, {len(model.constraints)} constraints")
+      f"{len(model.names)} variables, {len(model.row_names)} constraints")
 
 with tempfile.TemporaryDirectory(prefix="aoakit-demo-") as tmp:
     workdir = Path(tmp)
@@ -54,9 +54,9 @@ with tempfile.TemporaryDirectory(prefix="aoakit-demo-") as tmp:
 # Symmetry ties shrink the search space for a solver.
 sym_inst = IpInstance(s=3, k=5, p=1, symmetry="semicyclic", m_bar=2)
 sym_model = build_model(sym_inst)
-before = len(sym_model.constraints)
+before = len(sym_model.row_names)
 add_symmetry(sym_model, sym_inst)
-print(f"\nsemicyclic ties on the (3,5) model: +{len(sym_model.constraints) - before} equalities")
+print(f"\nsemicyclic ties on the (3,5) model: +{len(sym_model.row_names) - before} equalities")
 
 # --- Solve tiny instances exactly, in-process -------------------------------
 result = exhaustive_optimum(inst)

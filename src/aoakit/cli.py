@@ -211,8 +211,8 @@ def _cmd_ip(args) -> int:
         with _timed("ip mps"):
             Path(args.mps).write_text(ipmodel.emit_mps(model), encoding="ascii", newline="")
         print(f"mps = {args.mps}")
-    print(f"variables = {len(model.variables)}")
-    print(f"constraints = {len(model.constraints)}")
+    print(f"variables = {len(model.names)}")
+    print(f"constraints = {len(model.row_names)}")
     return EXIT_OK
 
 
@@ -220,7 +220,8 @@ def _cmd_ip_verify(args) -> int:
     inst = _instance_from_args(args)
     ipmodel._model_size(inst)  # an oversized instance is refused before the file is read
     try:
-        assignment = ipmodel.parse_solution(Path(args.solution).read_text(encoding="ascii"))
+        text = Path(args.solution).read_text(encoding="ascii")
+        assignment = ipmodel.parse_solution(text, args.solution)
         report = ipmodel.verify_solution(inst, assignment)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1, args.solution) from exc
@@ -346,21 +347,14 @@ def main(argv=None) -> int:
         if args.verbose:
             logging.basicConfig(stream=sys.stderr, level=logging.INFO)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (_UsageError, ValueError) as exc:
+        error, code = exc, EXIT_USAGE
+    except (ParseError, OSError) as exc:
+        error, code = exc, EXIT_PARSE
     except _VerifyFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        error, code = exc, EXIT_VERIFY
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,7 +57,6 @@ import shlex
 import subprocess
 import tempfile
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +71,7 @@ from .arrays import (
     tolerance,
     unbalance,
 )
+from .fileio import ParseError
 from .symmetry import cycle_permutation
 
 __all__ = [
@@ -163,17 +163,12 @@ def arrange_canonical(a: Array) -> Array:
     s, lam = a.n_levels, a.n_runs // a.n_levels**2
     if a.n_runs != lam * s * s:
         raise ValueError("N must equal lam * s^2")
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (u, v) in enumerate(a.cells[:, :2]):
-        buckets.setdefault((int(u), int(v)), []).append(i)
-    if any(len(buckets.get((u, v), ())) != lam for u in range(1, s + 1) for v in range(1, s + 1)):
+    u, v = a.cells[:, :2].T
+    codes = (u - 1) * s + v - 1
+    if not (np.bincount(codes, minlength=s * s) == lam).all():
         raise ValueError("first two columns are not a lam-fold full factorial")
-    order = [
-        buckets[(u, v)][copy]
-        for copy in range(lam)
-        for u in range(1, s + 1)
-        for v in range(1, s + 1)
-    ]
+    # each code's lam rows in row order; copy c takes the c-th row of every code
+    order = np.argsort(codes, kind="stable").reshape(s * s, lam).T.ravel()
     return Array(a.cells[order], s)
 
 
@@ -204,57 +199,25 @@ def _undeclared(missing) -> ValueError:
     return ValueError(f"undeclared variables referenced: {sorted(missing)[:5]}")
 
 
-class _View(Sequence):
-    """A list built afresh on every read; its length is known without building it."""
-
-    def __init__(self, size: int, build):
-        self._size, self._build = size, build
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, i):
-        return self._build()[i]
-
-    def __iter__(self):
-        return iter(self._build())
-
-    def __eq__(self, other) -> bool:
-        return self._build() == (list(other) if isinstance(other, _View) else other)
-
-
 class IpModel:
     """Minimization model: a variable table and constraint rows in CSR form.
 
     Variable v is ``names[v]``, of kind ``_KINDS[kinds[v]]``, in ``lower[v]..upper[v]``.
     Row r is ``row_names[r]``: ``coefs[a:b]`` on ``cols[a:b]`` (a, b = ``indptr[r:r+2]``),
     ``_RELATIONS[relations[r]]`` and ``rhs[r]``.  The objective sums ``lin_coefs *
-    x[lin_vars]`` and ``quad_coefs * x[quad_vars]^2``.  ``variables``, ``constraints``,
-    ``linear_objective`` and ``quadratic_objective`` build the object lists on every
-    read (their ``len`` builds nothing); built from such lists, a model converts them once.
+    x[lin_vars]`` and ``quad_coefs * x[quad_vars]^2``.  A new model is empty; only
+    ``build_model`` (with ``add_symmetry``) and ``parse_lp`` fill it.  Its sizes are
+    ``len(names)`` and ``len(row_names)``.  ``variables``, ``constraints``,
+    ``linear_objective`` and ``quadratic_objective`` are read-only object lists, built
+    afresh on every read and kept only for the benchmark's parse check.
     """
 
-    def __init__(self, linear_objective=(), quadratic_objective=(), variables=(), constraints=()):
-        variables, constraints = list(variables), list(constraints)
-        self.names = [v.name for v in variables]
-        self.kinds = np.array([_KINDS.index(v.kind) for v in variables], np.int8)
-        self.lower = np.array([v.lower for v in variables], np.int64)
-        self.upper = np.array([v.upper for v in variables], np.int64)
-        index = self._name_index()
-        lin, quad, rows = (list(linear_objective), list(quadratic_objective),
-                           [term for c in constraints for term in c.terms])
-        missing = {name for terms in (lin, quad, rows) for _, name in terms if name not in index}
-        if missing:
-            raise _undeclared(missing)
-        coefs = lambda terms: np.array([coef for coef, _ in terms], np.int64)
-        cols = lambda terms: np.array([index[name] for _, name in terms], np.int64)
-        self.lin_coefs, self.lin_vars = coefs(lin), cols(lin)
-        self.quad_coefs, self.quad_vars = coefs(quad), cols(quad)
-        self.coefs, self.cols = coefs(rows), cols(rows)
-        self.row_names = [c.name for c in constraints]
-        self.indptr = np.cumsum([0] + [len(c.terms) for c in constraints], dtype=np.int64)
-        self.relations = np.array([_RELATIONS.index(c.relation) for c in constraints], np.int8)
-        self.rhs = np.array([c.rhs for c in constraints], np.int64)
+    def __init__(self):
+        self.names, self.row_names = [], []
+        self.kinds, self.relations = np.zeros((2, 0), np.int8)
+        self.lower, self.upper, self.coefs, self.cols, self.rhs = np.zeros((5, 0), np.int64)
+        self.lin_coefs, self.lin_vars, self.quad_coefs, self.quad_vars = np.zeros((4, 0), np.int64)
+        self.indptr = np.zeros(1, np.int64)
 
     def _name_index(self) -> dict[str, int]:
         """Position of each name in the table, after checking the names."""
@@ -287,21 +250,19 @@ class IpModel:
     def _terms(self, coefs: np.ndarray, cols: np.ndarray) -> list[tuple[int, str]]:
         return list(zip(coefs.tolist(), map(self.names.__getitem__, cols.tolist())))
 
-    def _variable_list(self) -> list[Variable]:
+    @property
+    def variables(self) -> list[Variable]:
         kinds = map(_KINDS.__getitem__, self.kinds.tolist())
         return list(map(Variable, self.names, kinds, self.lower.tolist(), self.upper.tolist()))
 
-    def _constraint_list(self) -> list[Constraint]:
+    @property
+    def constraints(self) -> list[Constraint]:
         terms, bounds = self._terms(self.coefs, self.cols), self.indptr.tolist()
         rows = zip(self.row_names, bounds, bounds[1:], self.relations.tolist(), self.rhs.tolist())
         return [Constraint(n, tuple(terms[a:b]), _RELATIONS[r], rhs) for n, a, b, r, rhs in rows]
 
-    variables = property(lambda self: _View(len(self.names), self._variable_list))
-    constraints = property(lambda self: _View(len(self.row_names), self._constraint_list))
-    linear_objective = property(lambda self: _View(
-        len(self.lin_vars), lambda: self._terms(self.lin_coefs, self.lin_vars)))
-    quadratic_objective = property(lambda self: _View(
-        len(self.quad_vars), lambda: self._terms(self.quad_coefs, self.quad_vars)))
+    linear_objective = property(lambda self: self._terms(self.lin_coefs, self.lin_vars))
+    quadratic_objective = property(lambda self: self._terms(self.quad_coefs, self.quad_vars))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IpModel):
@@ -898,17 +859,21 @@ def emit_mps(model: IpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_solution(text: str) -> dict[str, float]:
-    """Read whitespace-separated ``name value`` lines; ``#`` starts a comment."""
+def parse_solution(text: str, path: str | None = None) -> dict[str, float]:
+    """Read whitespace-separated ``name value`` lines; ``#`` starts a comment.  A
+    malformed line raises ``ParseError`` there, at the column of a value not a number."""
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if not fields:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
-        out[parts[0]] = float(parts[1])
+        if len(fields) != 2:
+            raise ParseError(f"expected 'name value', got {raw!r}", lineno, 1, path)
+        name, value = fields
+        try:
+            out[name.group()] = float(value.group())
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, value.start() + 1, path) from None
     return out
 
 
@@ -926,4 +891,4 @@ def solve_with_command(
             for part in shlex.split(command_template)
         ]
         subprocess.run(argv, check=True)
-        return parse_solution(sol_path.read_text())
+        return parse_solution(sol_path.read_text(), str(sol_path))

@@ -22,16 +22,19 @@ reference for the value vectors over ``ipmodel._layout``, and the IP model's ear
 object form (``IpModelLists`` with ``build_model_loop``,
 ``add_symmetry_loop``, ``emit_lp_loop``, ``emit_mps_loop`` and
 ``parse_lp_loop``: lists of ``Variable`` and ``Constraint`` filled one name
-at a time), kept verbatim as the reference for the array-backed model,
+at a time), kept verbatim as the reference for the array-backed model, with
+``model_of`` to convert such lists into an ``IpModel``,
 the search's earlier per-move scoring (``driven`` and ``_PairTables``: the
 expanded cells a move sets, and dict-based count changes per move), kept
 verbatim as the reference for the block scorer, and the earlier
-``evaluate_model_loop`` over the object views, kept as the reference for the
+``evaluate_model_loop`` over the object lists, kept as the reference for the
 array-backed audit, and the earlier full-table ``is_oa``, ``tolerance``,
 ``unbalance`` and ``bandwidth`` (``is_oa_table``, ``tolerance_table``,
 ``unbalance_table``, ``bandwidth_table``: each reduces the whole
 ``_count_table``), kept verbatim as the reference for the versions read off
-the count histogram and, for non-integer p, summed chunk by chunk.
+the count histogram and, for non-integer p, summed chunk by chunk, and the
+earlier bucket-dict ``arrange_canonical`` (``arrange_canonical_loop``), kept
+verbatim as the reference for the argsort of the head-pair codes.
 """
 
 from __future__ import annotations
@@ -57,11 +60,14 @@ from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
     IpInstance,
+    IpModel,
     ModelCheck,
     Variable,
     VerificationReport,
+    _KINDS,
     _LP_WIDTH,
     _NAME,
+    _RELATIONS,
     _balanced_column_count,
     _balanced_columns,
     _parts,
@@ -703,6 +709,29 @@ def _delta_values(inst: IpInstance, a: Array) -> dict[str, int]:
     return out
 
 
+def arrange_canonical_loop(a: Array) -> Array:
+    """Permute rows so the first two columns equal ``canonical_head``.
+
+    Requires the (1,2) column pair to be exactly balanced; metrics are
+    invariant under the row permutation.
+    """
+    s, lam = a.n_levels, a.n_runs // a.n_levels**2
+    if a.n_runs != lam * s * s:
+        raise ValueError("N must equal lam * s^2")
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (u, v) in enumerate(a.cells[:, :2]):
+        buckets.setdefault((int(u), int(v)), []).append(i)
+    if any(len(buckets.get((u, v), ())) != lam for u in range(1, s + 1) for v in range(1, s + 1)):
+        raise ValueError("first two columns are not a lam-fold full factorial")
+    order = [
+        buckets[(u, v)][copy]
+        for copy in range(lam)
+        for u in range(1, s + 1)
+        for v in range(1, s + 1)
+    ]
+    return Array(a.cells[order], s)
+
+
 def canonical_assignment_loop(inst: IpInstance, a: Array) -> dict[str, int]:
     """Variable values encoding the given array (rows arranged canonically)."""
     if a.n_levels != inst.s or a.n_factors != inst.k or a.n_runs != inst.n_runs:
@@ -823,6 +852,32 @@ class IpModelLists:
         missing = used - declared
         if missing:
             raise ValueError(f"undeclared variables referenced: {sorted(missing)[:5]}")
+
+
+def model_of(lists: IpModelLists) -> IpModel:
+    """The array-backed model of ``lists``, filled field by field, then validated.
+
+    An undeclared name becomes index -1, which ``validate`` refuses.
+    """
+    model = IpModel()
+    model.names = [v.name for v in lists.variables]
+    model.kinds = np.array([_KINDS.index(v.kind) for v in lists.variables], np.int8)
+    model.lower = np.array([v.lower for v in lists.variables], np.int64)
+    model.upper = np.array([v.upper for v in lists.variables], np.int64)
+    index = dict(zip(model.names, itertools.count()))
+    coefs = lambda terms: np.array([coef for coef, _ in terms], np.int64)
+    cols = lambda terms: np.array([index.get(name, -1) for _, name in terms], np.int64)
+    rows = [term for c in lists.constraints for term in c.terms]
+    model.lin_coefs, model.lin_vars = coefs(lists.linear_objective), cols(lists.linear_objective)
+    model.quad_coefs = coefs(lists.quadratic_objective)
+    model.quad_vars = cols(lists.quadratic_objective)
+    model.coefs, model.cols = coefs(rows), cols(rows)
+    model.row_names = [c.name for c in lists.constraints]
+    model.indptr = np.cumsum([0] + [len(c.terms) for c in lists.constraints], dtype=np.int64)
+    model.relations = np.array([_RELATIONS.index(c.relation) for c in lists.constraints], np.int8)
+    model.rhs = np.array([c.rhs for c in lists.constraints], np.int64)
+    model.validate()
+    return model
 
 
 def build_model_loop(inst: IpInstance) -> IpModelLists:

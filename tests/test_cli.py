@@ -19,7 +19,7 @@ import aoakit
 from aoakit.arrays import Array, is_oa
 from aoakit.cli import main
 from aoakit.fileio import read_array, write_array
-from aoakit.ipmodel import IpInstance, canonical_assignment
+from aoakit.ipmodel import Constraint, IpInstance, Variable, canonical_assignment
 from aoakit.symmetry import bicyclic_generator, is_automorphism
 
 
@@ -390,6 +390,16 @@ class TestIp:
         text = mps.read_text()
         assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
 
+    def test_sizes_build_no_objects(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an object list was built")
+
+        monkeypatch.setattr(Variable, "__init__", refuse)
+        monkeypatch.setattr(Constraint, "__init__", refuse)
+        code, out, _ = run(capsys, "ip", 3, 5, "-o", tmp_path / "m.lp")
+        assert code == 0
+        assert (lines_of(out)["variables"], lines_of(out)["constraints"]) == ("576", "255")
+
     def test_verbose_times_each_stage_on_stderr_only(self, tmp_path):
         argv = ["ip", 3, 5, "--p", 2, "--sym", "semicyclic:2"]
         quiet = run_child(*argv, "-o", tmp_path / "q.lp", "--mps", tmp_path / "q.mps")
@@ -489,6 +499,22 @@ class TestIpVerify:
         code, _, err = run(capsys, "ip-verify", 2, 4, bad)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("line, where, message", [
+        ("x_1_3_2 abc", "2:9", "could not convert string to float: 'abc'"),
+        ("x_1_3_2 1 0", "2:1", "expected 'name value', got 'x_1_3_2 1 0'"),
+    ], ids=["value", "fields"])
+    def test_malformed_line_is_located(self, capsys, tmp_path, line, where, message):
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"x_1_3_1 1\n{line}\n")
+        code, out, err = run(capsys, "ip-verify", 2, 4, sol)
+        assert (code, out) == (2, "")
+        assert err == f"error: {sol}:{where}: {message}\n"
+
+    def test_missing_solution_file_is_parse_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "ip-verify", 2, 4, tmp_path / "absent.txt")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "absent.txt" in err
 
     def test_incomplete_solution_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "sol.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import re
@@ -292,19 +293,32 @@ class TestLocalSearch:
         for ma, mb in zip(a.members, b.members):
             assert ma.array == mb.array
 
-    def test_time_budget_is_checked_within_a_pass(self):
-        # Unbudgeted, this search runs for about 2.2 s (2-vCPU VM): its 35th
-        # pass starts after about 0.1 s and scans 55,073 moves for about
-        # 0.8 s, so the budget runs out inside that pass.  A check only
-        # between passes would stop at about 0.9 s, within the slack; the
-        # fake-clock test below pins the check before every block.
-        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", time_budget=0.3)
-        start = time.monotonic()
-        front = local_pareto_search(49, 8, 7, cfg)
-        elapsed = time.monotonic() - start
-        assert front.complete is False
+    def test_time_budget_is_checked_within_a_pass(self, caplog):
+        # Calibrated in the test from the per-pass log of an unbudgeted run: the
+        # longest of these 35 passes is pass 35, which scans 55,073 moves (0.5 to
+        # 1 s on a 2-vCPU VM, after about 0.1 s for the 34 before it).  A budget
+        # that runs out in the middle of the longest pass must stop the search
+        # well before that pass would have ended; a check only between passes
+        # would stop at its end.  The fake-clock test below pins the check
+        # before every block.
+        cfg = SearchConfig(p=2, seed=1, encoding="bicyclic", max_passes=35)
+        with caplog.at_level(logging.INFO, logger="aoakit.search"):
+            start = time.time()
+            local_pareto_search(49, 8, 7, cfg)
+        ends = [start] + [r.created for r in caplog.records if r.getMessage().startswith("pass ")]
+        longest = int(np.argmax(np.diff(ends)))
+        began, ended = ends[longest] - start, ends[longest + 1] - start
+        assert ended - began > 0.1, "no pass is long enough to tell the checks apart"
+        budget = (began + ended) / 2
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="aoakit.search"):
+            start = time.monotonic()
+            front = local_pareto_search(49, 8, 7, dataclasses.replace(cfg, time_budget=budget))
+            elapsed = time.monotonic() - start
         assert front.members
-        assert elapsed < cfg.time_budget + 0.8
+        stop = f"pass {longest + 1}: time budget ran out"
+        assert any(r.getMessage().startswith(stop) for r in caplog.records)
+        assert elapsed < (budget + ended) / 2
 
     def test_time_budget_stops_within_one_block_on_a_fake_clock(self, monkeypatch, caplog):
         # The clock advances one tick per read.  The deadline is read at tick
