@@ -290,8 +290,15 @@ def _balanced_pairs(a: Array) -> np.ndarray:
     """k x k bool matrix: columns i and j form a strength-2 OA (True for i = j).
 
     ``pairs[np.ix_(cols, cols)].all()`` is ``is_oa(a.select_columns(cols), 2)``.
+    The whole table is at hand here, so it also fills ``a``'s strength-2
+    count histogram if that is not kept yet.
     """
-    balanced = np.all(_count_table(a, 2) * a.n_levels**2 == a.n_runs, axis=1)
+    table = _count_table(a, 2)
+    if 2 not in a._histograms:
+        hist = np.bincount(table.ravel(), minlength=a.n_runs + 1)
+        hist.setflags(write=False)
+        a._histograms[2] = hist
+    balanced = np.all(table * a.n_levels**2 == a.n_runs, axis=1)
     return balanced[_pair_rows(a.n_factors)] | np.eye(a.n_factors, dtype=bool)
 
 
@@ -382,12 +389,14 @@ def hamming_similarity(a: Array) -> np.ndarray:
 
     The Gram product E·Eᵀ of the N×(k·s) 0/1 level-indicator matrix E,
     summed over blocks of columns whose indicators stay within
-    ``_CHUNK_BYTES``.  Each entry of a block's product counts agreements
-    within the block, an integer below 2^24, so float32 holds it exactly.
+    ``_CHUNK_BYTES`` or the N×N float32 product, whichever is larger (so a
+    large s does not cost one N² add per few columns).  Each entry of a
+    block's product counts agreements within the block, an integer below
+    2^24, so float32 holds it exactly.
     """
     n, s = a.n_runs, a.n_levels
     h = np.zeros((n, n), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (4 * n * s))
+    step = max(1, max(_CHUNK_BYTES, 4 * n * n) // (4 * n * s))
     for lo in range(0, a.n_factors, step):
         np.add(h, _indicator_gram(a.cells[:, lo : lo + step], s), out=h, casting="unsafe")
     return h

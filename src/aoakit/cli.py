@@ -219,8 +219,8 @@ def _cmd_ip(args) -> int:
 def _cmd_ip_verify(args) -> int:
     inst = _instance_from_args(args)
     ipmodel._model_size(inst)  # an oversized instance is refused before the file is read
+    text = fileio._read_ascii(args.solution)
     try:
-        text = Path(args.solution).read_text(encoding="ascii")
         assignment = ipmodel.parse_solution(text, args.solution)
         report = ipmodel.verify_solution(inst, assignment)
     except ValueError as exc:

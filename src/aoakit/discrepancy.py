@@ -7,14 +7,17 @@ with the per-coordinate integrals
 
     i1(x) = int_0^1 K(x, y) dy        i2 = int_0^1 int_0^1 K(x, y) dx dy
 
-derived analytically.  The pair term sum_{i,i'} prod_j K(x_ij, x_i'j) is a
-fold over the columns: each column's factor is gathered from a kernel table
-over that column's distinct values (s x s for an array's points) and
-multiplied into one N x N accumulator, so memory is O(N^2), not O(N^2 k).
-The fold keeps every multiplication and the final sum in the order of the
-direct N x N x k product on purpose: catalogs store the float values as
-``repr`` strings and ``catalog recheck`` compares them exactly, so a
-reordered sum would make existing catalogs fail.
+derived analytically.  The pair term sum_{i,i'} prod_j K(x_ij, x_i'j) is
+folded into one N x N accumulator, so memory is O(N^2), not O(N^2 k), and
+the fold is cache-blocked: each column's kernel rows (its kernel table over
+the column's u distinct values, s x s for an array's points, gathered out to
+u x N) are made once; consecutive columns are grouped while their rows fit a
+block, and each block of accumulator rows takes the factors of a whole group
+before the next block is touched.  Every entry still takes its factors left
+to right over the columns and the final sum runs over the same matrix, in
+the order of the direct N x N x k product, on purpose: catalogs store the
+float values as ``repr`` strings and ``catalog recheck`` compares them
+exactly, so a reordered product or sum would make existing catalogs fail.
 
 The discrete discrepancy DD (a two-valued kernel on level space, parameters
 a > b > 0) is computed in two provably equal ways — from Hamming similarity
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrays import Array, Exact, hamming_similarity, unbalance
+from .arrays import _CHUNK_BYTES, Array, Exact, hamming_similarity, unbalance
 
 __all__ = [
     "PointSet",
@@ -153,17 +156,36 @@ def discrepancy_sq(ps: PointSet, kernel: ProductKernel) -> float:
     pts = ps.points
     n, k = pts.shape
     cross = float(np.prod(kernel.i1(pts), axis=1).sum())
-    # Left to right over the columns, the same sequential product np.prod
-    # takes along the last axis of the N x N x k kernel tensor: bit-identical.
-    # The inverse indices are always in range, so mode="clip" never clips; it
-    # spares the N x N buffer that take's default mode puts behind ``out``.
+    # Row blocks over column groups.  Per column, its u kernel rows are taken
+    # out to u x N once (``take``: ``table[:, inv]`` is not C-ordered), and
+    # each block of ``step`` accumulator rows gathers its factor rows from
+    # them.  A group's rows and inverse indices (one row's worth each) fill at
+    # most ``step`` rows unless one column needs more, so the group and one
+    # factor block stay within ``_CHUNK_BYTES``.  Each entry still takes its
+    # factors left to right over the columns, the same sequential product
+    # np.prod takes along the last axis of the N x N x k kernel tensor:
+    # bit-identical.  The inverse indices are always in range, so mode="clip"
+    # never clips; it spares the buffer take's default mode puts behind ``out``.
     prod = np.ones((n, n))
-    factor = np.empty((n, n))
+    step = max(1, min(n // 2, _CHUNK_BYTES // (16 * n)))
+    factor = np.empty((step, n))
+
+    def fold(group):
+        for r0 in range(0, n, step):
+            block = factor[: min(step, n - r0)]
+            for inv, rows in group:
+                np.take(rows, inv[r0 : r0 + step], axis=0, out=block, mode="clip")
+                prod[r0 : r0 + step] *= block
+
+    group, width = [], 0
     for x in pts.T:
         vals, inv = np.unique(x, return_inverse=True)
-        table = kernel.k1(vals[:, None], vals[None, :])
-        np.take(table[inv], inv, axis=1, out=factor, mode="clip")
-        prod *= factor
+        if group and width + len(vals) + 1 > step:
+            fold(group)
+            group, width = [], 0
+        group.append((inv, np.take(kernel.k1(vals[:, None], vals[None, :]), inv, axis=1)))
+        width += len(vals) + 1
+    fold(group)
     pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 

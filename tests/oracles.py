@@ -4,7 +4,9 @@ Everything here is written in plain Python (loops, Fractions, itertools) with
 no reuse of the library's own vectorised code paths, so that agreement between
 the two is meaningful evidence of correctness.  The exceptions are
 ``discrepancy_sq_broadcast``, the library's earlier numpy formula, kept as a
-bit-for-bit reference for the float arithmetic order, and the two per-state
+bit-for-bit reference for the float arithmetic order, and
+``discrepancy_sq_column_fold``, the earlier one-pass-per-column fold, kept
+verbatim as the same reference at large N, and the two per-state
 exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
 the library's earlier enumerations kept verbatim as the reference for the
 block-scored ones (value, state counts and witnesses in order), the
@@ -214,6 +216,31 @@ def discrepancy_sq_broadcast(ps, kernel) -> float:
     n, k = pts.shape
     cross = float(np.prod(kernel.i1(pts), axis=1).sum())
     pair = float(np.prod(kernel.k1(pts[:, None, :], pts[None, :, :]), axis=2).sum())
+    return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
+
+
+def discrepancy_sq_column_fold(ps, kernel) -> float:
+    """Squared discrepancy by one pass over the N x N accumulator per column.
+
+    The library's earlier fold, kept verbatim: its float result is the
+    exact-equality reference for the cache-blocked fold in ``discrepancy_sq``
+    at sizes where the tensor would be too large.
+    """
+    pts = ps.points
+    n, k = pts.shape
+    cross = float(np.prod(kernel.i1(pts), axis=1).sum())
+    # Left to right over the columns, the same sequential product np.prod
+    # takes along the last axis of the N x N x k kernel tensor: bit-identical.
+    # The inverse indices are always in range, so mode="clip" never clips; it
+    # spares the N x N buffer that take's default mode puts behind ``out``.
+    prod = np.ones((n, n))
+    factor = np.empty((n, n))
+    for x in pts.T:
+        vals, inv = np.unique(x, return_inverse=True)
+        table = kernel.k1(vals[:, None], vals[None, :])
+        np.take(table[inv], inv, axis=1, out=factor, mode="clip")
+        prod *= factor
+    pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 
 

@@ -331,6 +331,22 @@ class TestHammingIdentity:
         n = a.n_runs
         assert peak <= 2 * n * n * 8 + a.cells.nbytes
 
+    def test_large_s_takes_few_column_blocks(self, rng, monkeypatch):
+        # blocks are bounded by the N x N float32 product when it is larger
+        # than _CHUNK_BYTES: 700 x 12 at s = 50 is one block, not two
+        a = draw_array(rng, n_runs=700, n_factors=12, n_levels=50)
+        grams = []
+        indicator_gram = arrays_mod._indicator_gram
+
+        def counted(cells, s):
+            grams.append(cells.shape[1])
+            return indicator_gram(cells, s)
+
+        monkeypatch.setattr(arrays_mod, "_indicator_gram", counted)
+        h = hamming_similarity(a)
+        assert grams == [12]
+        assert np.array_equal(h, (a.cells[:, None, :] == a.cells[None, :, :]).sum(axis=2))
+
     @settings(max_examples=60, deadline=None)
     @given(arrays(max_factors=6), st.integers(1, 3))
     def test_identity_exact(self, a, t):

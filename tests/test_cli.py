@@ -511,6 +511,13 @@ class TestIpVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {sol}:{where}: {message}\n"
 
+    def test_non_ascii_byte_is_located(self, capsys, tmp_path):
+        sol = tmp_path / "sol.txt"
+        sol.write_bytes(b"x_1_3_1 1\nx_1_3_2 \xc3\xa9\n")
+        code, out, err = run(capsys, "ip-verify", 2, 4, sol)
+        assert (code, out) == (2, "")
+        assert err == f"error: {sol}:2:9: non-ASCII byte 0xc3\n"
+
     def test_missing_solution_file_is_parse_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "ip-verify", 2, 4, tmp_path / "absent.txt")
         assert (code, out) == (2, "")

@@ -1,6 +1,7 @@
 import pytest
 
-from aoakit.arrays import lower_bound_unb22, tolerance, unbalance
+from aoakit import arrays as arrays_mod
+from aoakit.arrays import Array, _count_histogram, lower_bound_unb22, tolerance, unbalance
 from aoakit.constructions import (
     ConstructionSpec,
     ak_ext_even,
@@ -11,6 +12,8 @@ from aoakit.constructions import (
     verify_construction,
 )
 from aoakit.galois import make_field
+
+from oracles import tolerance_table, unbalance_table
 
 
 # (s, k, unb2, tol) for the one-quadratic-column family over s^2 runs.
@@ -198,3 +201,24 @@ class TestDeterminism:
         other = construct(ConstructionSpec(s=3, ell=2, kappa=2, variant="half"))
         with pytest.raises(ValueError):
             verify_construction(other, spec)
+
+    def test_verify_counts_each_strength_once(self, monkeypatch):
+        # the strength-2 histogram comes from the table _balanced_pairs builds
+        spec = ConstructionSpec(s=5, ell=3, kappa=2, variant="odd_ext")
+        a = construct(spec)
+        calls = []
+        count_chunks = arrays_mod._count_chunks
+
+        def counted(b, t):
+            calls.append(t)
+            return count_chunks(b, t)
+
+        monkeypatch.setattr(arrays_mod, "_count_chunks", counted)
+        report = verify_construction(a, spec)
+        assert sorted(calls) == [1, 2]
+        monkeypatch.undo()
+        b = Array(a.cells, a.n_levels)
+        _count_histogram(b, 2)  # the histogram counted on its own first
+        assert verify_construction(b, spec) == report
+        assert report.tol_measured == tolerance_table(a, 2)
+        assert report.unb_measured == {p: unbalance_table(a, 2, p) for p in (1, 2, 3)}
