@@ -13,9 +13,14 @@ the fold is cache-blocked: each column's kernel rows (its kernel table over
 the column's u distinct values, s x s for an array's points, gathered out to
 u x N) are made once; consecutive columns are grouped while their rows fit a
 block, and each block of accumulator rows takes the factors of a whole group
-before the next block is touched.  Every entry still takes its factors left
-to right over the columns and the final sum runs over the same matrix, in
-the order of the direct N x N x k product, on purpose: catalogs store the
+before the next block is touched.  Each 1-D kernel is exactly symmetric,
+k1(x, y) and k1(y, x) being the same float, so entries (i, i') and (i', i)
+take the same factors in the same order and are bitwise equal: only the
+upper trapezoid of each row block (its columns from the block's first row
+on) is folded, packed at the front of the block's own rows, then unpacked
+and mirrored into the lower triangle.  Every entry still takes its factors
+left to right over the columns and the final sum runs over the same matrix,
+in the order of the direct N x N x k product, on purpose: catalogs store the
 float values as ``repr`` strings and ``catalog recheck`` compares them
 exactly, so a reordered product or sum would make existing catalogs fail.
 
@@ -95,7 +100,12 @@ def points_of(a: Array) -> PointSet:
 
 @dataclass(frozen=True)
 class ProductKernel:
-    """A product-form kernel given by its 1-D factor and that factor's integrals."""
+    """A product-form kernel given by its 1-D factor and that factor's integrals.
+
+    ``k1`` must be exactly symmetric, k1(x, y) == k1(y, x) as floats:
+    ``discrepancy_sq`` folds one triangle of the pair matrix and refuses a
+    kernel whose table is not.
+    """
 
     name: str
     i2: float
@@ -156,36 +166,51 @@ def discrepancy_sq(ps: PointSet, kernel: ProductKernel) -> float:
     pts = ps.points
     n, k = pts.shape
     cross = float(np.prod(kernel.i1(pts), axis=1).sum())
-    # Row blocks over column groups.  Per column, its u kernel rows are taken
-    # out to u x N once (``take``: ``table[:, inv]`` is not C-ordered), and
-    # each block of ``step`` accumulator rows gathers its factor rows from
-    # them.  A group's rows and inverse indices (one row's worth each) fill at
-    # most ``step`` rows unless one column needs more, so the group and one
-    # factor block stay within ``_CHUNK_BYTES``.  Each entry still takes its
-    # factors left to right over the columns, the same sequential product
-    # np.prod takes along the last axis of the N x N x k kernel tensor:
-    # bit-identical.  The inverse indices are always in range, so mode="clip"
-    # never clips; it spares the buffer take's default mode puts behind ``out``.
+    # Row blocks over column groups, upper trapezoids only.  Per column, its u
+    # kernel rows are taken out to u x N once (``take``: ``table[:, inv]`` is
+    # not C-ordered).  The block of rows r0:r0+step needs only columns r0:N;
+    # it is kept packed, h x (N - r0) and C-ordered, at the front of its own
+    # rows of ``prod``, so no second N x N array is needed, and gathers its
+    # factor rows from each column's kernel rows.  A group's rows and inverse
+    # indices (one row's worth each) fill at most ``step`` rows unless one
+    # column needs more, so the group and one gathered block stay within
+    # ``_CHUNK_BYTES``.  Each entry takes its factors left to right over the
+    # columns, the same sequential product np.prod takes along the last axis
+    # of the N x N x k kernel tensor, and the exactly symmetric kernel tables
+    # give entry (j, i) the very factors of (i, j): the mirrored matrix is
+    # the tensor's product, bit for bit.
     prod = np.ones((n, n))
     step = max(1, min(n // 2, _CHUNK_BYTES // (16 * n)))
-    factor = np.empty((step, n))
+    starts = range(0, n, step)
+    flat = prod.reshape(-1)
+    blocks = [
+        flat[r0 * n : r0 * n + min(step, n - r0) * (n - r0)].reshape(-1, n - r0)
+        for r0 in starts
+    ]
 
     def fold(group):
-        for r0 in range(0, n, step):
-            block = factor[: min(step, n - r0)]
+        for r0, block in zip(starts, blocks):
             for inv, rows in group:
-                np.take(rows, inv[r0 : r0 + step], axis=0, out=block, mode="clip")
-                prod[r0 : r0 + step] *= block
+                block *= rows[inv[r0 : r0 + step], r0:]
 
     group, width = [], 0
     for x in pts.T:
         vals, inv = np.unique(x, return_inverse=True)
+        table = kernel.k1(vals[:, None], vals[None, :])
+        if not np.array_equal(table, table.T):
+            raise ValueError(f"kernel {kernel.name!r} is not exactly symmetric")
         if group and width + len(vals) + 1 > step:
             fold(group)
             group, width = [], 0
-        group.append((inv, np.take(kernel.k1(vals[:, None], vals[None, :]), inv, axis=1)))
+        group.append((inv, np.take(table, inv, axis=1)))
         width += len(vals) + 1
     fold(group)
+    # Unpack every block before mirroring, which writes into later blocks'
+    # rows.  A packed block starts inside its destination, hence the copy.
+    for r0, block in zip(starts[1:], blocks[1:]):
+        prod[r0 : r0 + step, r0:] = block.copy()
+    for r0 in starts:
+        prod[r0 + step :, r0 : r0 + step] = prod[r0 : r0 + step, r0 + step :].T
     pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 

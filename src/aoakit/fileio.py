@@ -111,10 +111,28 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
     return Array(np.array(rows, dtype=np.int64), s), metadata
 
 
+def _check_metadata(metadata: dict[str, str]) -> None:
+    """Refuse metadata that ``parse_array`` would not read back unchanged."""
+    for key, value in metadata.items():
+        key, value = str(key), str(value)
+        if not key:
+            raise ValueError("metadata key must not be empty")
+        for what, text in (("key", key), ("value", value)):
+            if "\n" in text or "\r" in text:
+                raise ValueError(f"metadata {what} of {key!r} holds a line break")
+            if text != text.strip():
+                raise ValueError(f"metadata {what} of {key!r} has leading or trailing whitespace")
+        if ":" in key:
+            raise ValueError(f"metadata key {key!r} holds ':'")
+
+
 def serialize_array(a: Array, metadata: dict[str, str] | None = None) -> str:
+    metadata = metadata or {}
+    _check_metadata(metadata)
+    names = [str(v) for v in range(a.n_levels + 1)]
     lines = [f"{a.n_runs} {a.n_factors} {a.n_levels}"]
-    lines.extend(" ".join(str(v) for v in row) for row in a.cells)
-    for key, value in (metadata or {}).items():
+    lines.extend(" ".join([names[v] for v in row]) for row in a.cells.tolist())
+    for key, value in metadata.items():
         lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"
 
@@ -136,7 +154,8 @@ def read_array(path) -> tuple[Array, dict[str, str]]:
 
 
 def write_array(path, a: Array, metadata: dict[str, str] | None = None) -> None:
-    Path(path).write_text(serialize_array(a, metadata), encoding="ascii", newline="")
+    # encoded before the file is opened, so a refused array leaves no file
+    Path(path).write_bytes(serialize_array(a, metadata).encode("ascii"))
 
 
 def parse_encoding(text: str, path: str | None = None) -> SymmetricEncoding:

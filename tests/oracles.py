@@ -6,7 +6,11 @@ the two is meaningful evidence of correctness.  The exceptions are
 ``discrepancy_sq_broadcast``, the library's earlier numpy formula, kept as a
 bit-for-bit reference for the float arithmetic order, and
 ``discrepancy_sq_column_fold``, the earlier one-pass-per-column fold, kept
-verbatim as the same reference at large N, and the two per-state
+verbatim as the same reference at large N, and
+``discrepancy_sq_row_blocks``, the earlier fold over the whole accumulator
+in row blocks, kept verbatim as the reference for the triangle fold, and
+``serialize_array_loop``, the earlier per-cell array writer, kept verbatim
+as the byte reference for the level-name table, and the two per-state
 exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
 the library's earlier enumerations kept verbatim as the reference for the
 block-scored ones (value, state counts and witnesses in order), the
@@ -50,6 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from aoakit.arrays import (
+    _CHUNK_BYTES,
     Array,
     _as_exact,
     _check_strength,
@@ -242,6 +247,59 @@ def discrepancy_sq_column_fold(ps, kernel) -> float:
         prod *= factor
     pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
+
+
+def discrepancy_sq_row_blocks(ps, kernel) -> float:
+    """Squared discrepancy by row blocks over column groups, whole matrix.
+
+    The library's earlier cache-blocked fold, kept verbatim: its float result
+    is the exact-equality reference for the fold that multiplies only the
+    upper trapezoid of each row block and mirrors it.
+    """
+    pts = ps.points
+    n, k = pts.shape
+    cross = float(np.prod(kernel.i1(pts), axis=1).sum())
+    # Row blocks over column groups.  Per column, its u kernel rows are taken
+    # out to u x N once (``take``: ``table[:, inv]`` is not C-ordered), and
+    # each block of ``step`` accumulator rows gathers its factor rows from
+    # them.  A group's rows and inverse indices (one row's worth each) fill at
+    # most ``step`` rows unless one column needs more, so the group and one
+    # factor block stay within ``_CHUNK_BYTES``.  Each entry still takes its
+    # factors left to right over the columns, the same sequential product
+    # np.prod takes along the last axis of the N x N x k kernel tensor:
+    # bit-identical.  The inverse indices are always in range, so mode="clip"
+    # never clips; it spares the buffer take's default mode puts behind ``out``.
+    prod = np.ones((n, n))
+    step = max(1, min(n // 2, _CHUNK_BYTES // (16 * n)))
+    factor = np.empty((step, n))
+
+    def fold(group):
+        for r0 in range(0, n, step):
+            block = factor[: min(step, n - r0)]
+            for inv, rows in group:
+                np.take(rows, inv[r0 : r0 + step], axis=0, out=block, mode="clip")
+                prod[r0 : r0 + step] *= block
+
+    group, width = [], 0
+    for x in pts.T:
+        vals, inv = np.unique(x, return_inverse=True)
+        if group and width + len(vals) + 1 > step:
+            fold(group)
+            group, width = [], 0
+        group.append((inv, np.take(kernel.k1(vals[:, None], vals[None, :]), inv, axis=1)))
+        width += len(vals) + 1
+    fold(group)
+    pair = float(prod.sum())
+    return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
+
+
+def serialize_array_loop(a: Array, metadata: dict[str, str] | None = None) -> str:
+    """Array file text with one ``str`` per numpy cell (the earlier writer)."""
+    lines = [f"{a.n_runs} {a.n_factors} {a.n_levels}"]
+    lines.extend(" ".join(str(v) for v in row) for row in a.cells)
+    for key, value in (metadata or {}).items():
+        lines.append(f"# {key}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 def dd_sq_slow(a: Array, pa, pb):

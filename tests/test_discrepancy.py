@@ -30,13 +30,14 @@ from aoakit import (
 )
 from aoakit.arrays import _CHUNK_BYTES, Array, cyclic_oa, hamming_similarity, unbalance
 from aoakit.constructions import ConstructionSpec, ak_half, construct
-from aoakit.discrepancy import BoundCheck, PointSet, _cross_min
+from aoakit.discrepancy import BoundCheck, PointSet, ProductKernel, _cross_min
 
 from conftest import random_array
 from oracles import (
     dd_sq_slow,
     discrepancy_sq_broadcast,
     discrepancy_sq_column_fold,
+    discrepancy_sq_row_blocks,
     discrepancy_sq_slow,
 )
 
@@ -73,6 +74,38 @@ def cube_point_sets(draw):
         st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40)
     )
     return PointSet(np.array([rows[i] for i in picks], dtype=float))
+
+
+# Row blocks are max(1, min(N // 2, _CHUNK_BYTES // (16 N))) rows: one block
+# at N = 1, blocks of one row at 2 and 3, two blocks (plus one row at odd N)
+# up to 362, three from 363 (180-row blocks, 3 rows left), and four whole
+# 128-row blocks at 512, four plus 5 rows at 513.
+BLOCK_EDGE_RUNS = (1, 2, 3, 4, 5, 361, 362, 363, 512, 513)
+
+
+@st.composite
+def block_edge_point_sets(draw):
+    """Lattice, continuous or special-value points with N on a block edge."""
+    n = draw(st.sampled_from(BLOCK_EDGE_RUNS))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "continuous", "special"]))
+    if kind == "lattice":
+        s = draw(st.integers(2, 12))
+        return points_of(Array(rng.integers(1, s + 1, size=(n, k)), s))
+    if kind == "continuous":
+        return PointSet(rng.random((n, k)))
+    return PointSet(rng.choice([0.0, -0.0, 0.5, 1.0], size=(n, k)))
+
+
+class _Skewed(ProductKernel):
+    """A centered kernel plus an x-only term: k1(x, y) != k1(y, x)."""
+
+    def k1(self, x, y):
+        return CENTERED.k1(x, y) + 0.125 * x
+
+    def i1(self, x):
+        return CENTERED.i1(x) + 0.125 * x
 
 
 class TestPointSet:
@@ -146,9 +179,15 @@ class TestKernelIntegrals:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
     def test_k1_is_symmetric_and_vectorized(self, rng, kernel):
+        # bitwise: the fold mirrors its upper triangle, and discrepancy_sq
+        # refuses a column whose kernel table is not exactly symmetric
         x = rng.random(7)
         y = rng.random(7)
-        np.testing.assert_allclose(kernel.k1(x, y), kernel.k1(y, x))
+        assert np.array_equal(kernel.k1(x, y), kernel.k1(y, x))
+        for s in range(2, 13):
+            pts = (2 * np.arange(1, s + 1) - 1) / (2 * s)
+            table = kernel.k1(pts[:, None], pts[None, :])
+            assert np.array_equal(table, table.T)
         scalar = [kernel.k1(float(a), float(b)) for a, b in zip(x, y)]
         np.testing.assert_allclose(kernel.k1(x, y), scalar)
 
@@ -199,6 +238,19 @@ class TestDiscrepancy:
         for kernel in KERNELS:
             assert discrepancy_sq(ps, kernel) == discrepancy_sq_broadcast(ps, kernel)
 
+    @settings(max_examples=40, deadline=None)
+    @given(block_edge_point_sets())
+    def test_triangle_fold_is_bit_identical_at_block_edges(self, ps):
+        for kernel in KERNELS:
+            value = discrepancy_sq(ps, kernel)
+            assert value == discrepancy_sq_row_blocks(ps, kernel)
+            assert value == discrepancy_sq_broadcast(ps, kernel)
+
+    def test_asymmetric_kernel_is_refused(self, rng):
+        ps = points_of(random_array(rng, n_runs=12, n_factors=3, n_levels=3))
+        with pytest.raises(ValueError, match="'skewed' is not exactly symmetric"):
+            discrepancy_sq(ps, _Skewed("skewed", i2=CENTERED.i2 + 0.0625))
+
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
     def test_memory_is_quadratic_in_runs_only(self, rng, kernel):
         # An N x N x k float tensor would be 48 MB here.  The fold keeps two
@@ -226,7 +278,9 @@ class TestDiscrepancy:
         else:
             ps = PointSet(rng.random((n, 5)))
         for kernel in KERNELS:
-            assert discrepancy_sq(ps, kernel) == discrepancy_sq_column_fold(ps, kernel)
+            value = discrepancy_sq(ps, kernel)
+            assert value == discrepancy_sq_column_fold(ps, kernel)
+            assert value == discrepancy_sq_row_blocks(ps, kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
     def test_blocked_fold_holds_one_accumulator_and_one_chunk(self, rng, kernel):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from aoakit.fileio import CatalogEntry, format_exact, metrics_snapshot
 from aoakit.symmetry import SymmetricEncoding, compress, semicyclic_generator
 
 from conftest import random_array
+from oracles import serialize_array_loop
 from test_symmetry import BICYCLIC_FULL, KLEIN_FULL, QUASI_FULL
 
 
@@ -45,6 +47,25 @@ def array_texts(draw):
         )
     )
     return Array(np.array(cells), n_levels=s)
+
+
+# printable ASCII with no surrounding whitespace, and no ':' in keys
+_META_VALUES = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
+    lambda v: v == v.strip()
+)
+_META_KEYS = _META_VALUES.filter(lambda v: v and ":" not in v)
+
+
+@st.composite
+def wide_level_arrays(draw):
+    """Arrays with two-digit levels, plus metadata that reads back unchanged."""
+    s = draw(st.integers(10, 40))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cells = np.random.default_rng(seed).integers(1, s + 1, size=(n, k))
+    metadata = draw(st.dictionaries(_META_KEYS, _META_VALUES, max_size=3))
+    return Array(cells, n_levels=s), metadata
 
 
 class TestArrayFormat:
@@ -69,6 +90,44 @@ class TestArrayFormat:
     def test_round_trip_any_array(self, a):
         back, meta = parse_array(serialize_array(a))
         assert back == a and meta == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_level_arrays())
+    def test_serialize_equals_the_per_cell_writer(self, case):
+        a, metadata = case
+        text = serialize_array(a, metadata)
+        assert text == serialize_array_loop(a, metadata)
+        assert parse_array(text) == (a, metadata)
+
+    @pytest.mark.parametrize(
+        "metadata, fragment",
+        [
+            ({"note": "a\nb"}, "value of 'note' holds a line break"),
+            ({"note": "a\rb"}, "value of 'note' holds a line break"),
+            ({"a\nb": "c"}, "key of 'a\\nb' holds a line break"),
+            ({"a:b": "c"}, "key 'a:b' holds ':'"),
+            ({"": "v"}, "key must not be empty"),
+            ({" k ": "v"}, "key of ' k ' has leading or trailing whitespace"),
+            ({"k": "v "}, "value of 'k' has leading or trailing whitespace"),
+            ({"k": "\tv"}, "value of 'k' has leading or trailing whitespace"),
+        ],
+        ids=["newline-value", "cr-value", "newline-key", "colon-key", "empty-key",
+             "padded-key", "padded-value", "tab-value"],
+    )
+    def test_unreadable_metadata_is_refused_before_writing(self, tmp_path, t0, metadata, fragment):
+        with pytest.raises(ValueError) as exc:
+            serialize_array(t0, metadata)
+        assert fragment in str(exc.value)
+        path = tmp_path / "a.txt"
+        with pytest.raises(ValueError):
+            write_array(path, t0, metadata)
+        assert not path.exists()
+
+    def test_non_ascii_metadata_leaves_no_file(self, tmp_path, t0):
+        path = tmp_path / "a.txt"
+        with pytest.raises(UnicodeEncodeError):
+            write_array(path, t0, {"note": "caf\u00e9"})
+        assert not path.exists()
 
     def test_blank_lines_after_body_are_ignored(self):
         text = "1 2 3\n1 3\n\n# tag: x\n\n"
@@ -392,6 +451,12 @@ class TestCatalog:
         assert not report.ok
         assert report.checked == 1
         assert sorted(name for name, _ in report.corrupt) == ["broken", "orphan"]
+
+    def test_recheck_passes_on_a_catalog_from_an_earlier_version(self):
+        # written by `aoakit catalog add` before the triangle discrepancy fold;
+        # the 400-run array folds in three row blocks
+        report = catalog_recheck(Path(__file__).parent / "data" / "catalog_v1")
+        assert report.ok and report.checked == 3
 
     def test_recheck_requires_directory(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
