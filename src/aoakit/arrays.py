@@ -120,9 +120,17 @@ class Array:
         return hash((self.n_levels, self.cells.tobytes(), self.cells.shape))
 
 
+_MAX_ROW_CELLS = 1 << 24
+"""Largest s^t: one row of the strength-t count table, 128 MiB of int64."""
+
+
 def _check_strength(a: Array, t: int) -> None:
     if not 1 <= t <= a.n_factors:
         raise ValueError(f"strength t={t} out of range 1..{a.n_factors}")
+    if a.n_levels**t > _MAX_ROW_CELLS:
+        raise ValueError(
+            f"strength t={t} needs s^t = {a.n_levels**t} cells per table row (limit 2^24)"
+        )
 
 
 _CHUNK_BYTES = 1 << 20

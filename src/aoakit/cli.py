@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import constructions, fileio, ipmodel, search
-from .arrays import is_oa, tolerance, unbalance
+from .arrays import _check_strength, is_oa, tolerance, unbalance
 from .discrepancy import cd, md, wd
 from .fileio import ParseError, format_exact
 from .metrics import d1, d2, d_value, default_contrast
@@ -62,8 +62,7 @@ def _cmd_eval(args) -> int:
     ts = args.t or [2]
     ps = args.p or [1, 2]
     for t in ts:
-        if not 1 <= t <= a.n_factors:
-            raise _UsageError(f"t={t} out of range 1..{a.n_factors}")
+        _check_strength(a, t)
     for p in ps:
         if p < 1:
             raise _UsageError(f"p={p} must be >= 1")

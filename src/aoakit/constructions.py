@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Array, _balanced_pairs, is_oa, tolerance, unbalance
-from .galois import Field, make_field
+from .galois import Field, is_prime_power, make_field
 
 __all__ = [
     "GammaSet",
@@ -76,6 +76,10 @@ def gamma_set(f: Field, ell: int) -> GammaSet:
     return GammaSet(order=s, ell=ell, vectors=tuple(vectors))
 
 
+_MAX_CELLS = 10**8
+"""Largest N*k a spec may ask for: 0.8 GB of int64 cells, before any copy."""
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Parameters of one construction instance.
@@ -83,7 +87,7 @@ class ConstructionSpec:
     variant: 'half', 'odd_ext' or 'even_ext'. kappa counts the quadratic
     extension columns: at most ``s*(s^(ell-1)-1)/(s-1)`` for 'half' and at
     most ``s - 1`` for the extensions (which also require s > 2 of matching
-    parity).
+    parity). The array may hold at most 10^8 cells (N*k).
     """
 
     s: int
@@ -98,7 +102,8 @@ class ConstructionSpec:
             raise ValueError("ell must be >= 2")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        f = make_field(self.s)  # raises for non-prime-powers
+        if is_prime_power(self.s) is None:
+            raise ValueError(f"{self.s} is not a prime power")
         if self.variant == "half":
             limit = self.s * (self.s ** (self.ell - 1) - 1) // (self.s - 1)
             if self.kappa > limit:
@@ -109,12 +114,15 @@ class ConstructionSpec:
                     "the two-block extensions require s > 2 "
                     "(at s = 2 they collapse to an orthogonal array)"
                 )
-            if self.variant == "odd_ext" and f.order % 2 == 0:
+            if self.variant == "odd_ext" and self.s % 2 == 0:
                 raise ValueError("variant 'odd_ext' requires odd s")
-            if self.variant == "even_ext" and f.order % 2 == 1:
+            if self.variant == "even_ext" and self.s % 2 == 1:
                 raise ValueError("variant 'even_ext' requires even s")
             if self.kappa > self.s - 1:
                 raise ValueError("kappa must be <= s - 1 for the extensions")
+        cells = self.n_runs * self.n_factors
+        if cells > _MAX_CELLS:
+            raise ValueError(f"array too large: N*k = {cells} cells (limit 10^8)")
 
     @property
     def n_runs(self) -> int:
@@ -158,25 +166,27 @@ def _row_coordinates(f: Field, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _gamma_dot(f: Field, gamma: tuple[int, ...], ys: np.ndarray) -> np.ndarray:
-    acc = np.zeros(ys.shape[0], dtype=np.int64)
-    for coef, col in zip(gamma, ys.T):
-        acc = f.vadd(acc, f.vmul(coef, col))
+def _gamma_dots(f: Field, gammas: GammaSet, ys: np.ndarray) -> np.ndarray:
+    """N x |Gamma| matrix of gamma'y, one column per direction."""
+    g = np.array(gammas.vectors, dtype=np.int64)
+    acc = np.zeros((ys.shape[0], len(gammas)), dtype=np.int64)
+    for j in range(ys.shape[1]):
+        acc = f.vadd(acc, f.vmul(ys[:, j, None], g[:, j]))
     return acc
 
 
-def _linear_block(f: Field, gammas: GammaSet, xs, ys, twist=None) -> list[np.ndarray]:
-    """Columns x and a*x + gamma'y (+ optional per-(a) twist term)."""
-    cols = [xs.copy()]
-    for a in f.elements:
-        ax = f.vmul(a, xs)
-        extra = twist(a) if twist is not None else None
-        for gamma in gammas.vectors:
-            col = f.vadd(ax, _gamma_dot(f, gamma, ys))
-            if extra is not None:
-                col = f.vadd(col, extra)
-            cols.append(col)
-    return cols
+def _linear_block(f: Field, xs, gdot, twist=None) -> np.ndarray:
+    """Columns x and a*x + gamma'y (+ twist[a]), a-major and then gamma."""
+    ax = f.vmul(xs[:, None], np.arange(f.order))
+    if twist is not None:
+        ax = f.vadd(ax, twist)
+    lin = f.vadd(ax[:, :, None], gdot[:, None, :]).reshape(len(xs), -1)
+    return np.column_stack([xs, lin])
+
+
+def _pairs(count: int, gammas: GammaSet) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, gamma index) of the first ``count`` pairs of product(elements, gammas)."""
+    return divmod(np.arange(count), len(gammas))
 
 
 def ak_half(spec: ConstructionSpec) -> Array:
@@ -190,13 +200,10 @@ def ak_half(spec: ConstructionSpec) -> Array:
     f = make_field(spec.s)
     gammas = gamma_set(f, spec.ell)
     xs, ys = _row_coordinates(f, spec.ell)
-    cols = _linear_block(f, gammas, xs, ys)
-    xi = list(itertools.product(f.elements, gammas.vectors))[: spec.kappa]
-    x2 = f.vmul(xs, xs)
-    for beta, gamma in xi:
-        col = f.vadd(f.vadd(x2, f.vmul(beta, xs)), _gamma_dot(f, gamma, ys))
-        cols.append(col)
-    return Array(np.column_stack(cols) + 1, spec.s)
+    gdot = _gamma_dots(f, gammas, ys)
+    beta, g = _pairs(spec.kappa, gammas)
+    quad = f.vadd(f.vadd(f.vmul(xs, xs)[:, None], f.vmul(xs[:, None], beta)), gdot[:, g])
+    return Array(np.column_stack([_linear_block(f, xs, gdot), quad]) + 1, spec.s)
 
 
 def ak_ext_odd(spec: ConstructionSpec) -> Array:
@@ -215,26 +222,22 @@ def ak_ext_odd(spec: ConstructionSpec) -> Array:
     shrink = f.mul(f.sub(1, f.inv(omega)), inv4)  # (1 - 1/w) / 4
     gammas = gamma_set(f, spec.ell)
     xs, ys = _row_coordinates(f, spec.ell)
-
-    def twist(a: int) -> np.ndarray:
-        return np.full(xs.shape, f.mul(shrink, f.mul(a, a)), dtype=np.int64)
-
-    top = _linear_block(f, gammas, xs, ys)
-    bot = _linear_block(f, gammas, xs, ys, twist=twist)
-    for beta, gamma in itertools.product(f.elements, gammas.vectors):
-        diff = f.vadd(xs, f.neg(beta))
-        sq = f.vmul(diff, diff)
-        gdot = _gamma_dot(f, gamma, ys)
-        top.append(f.vadd(sq, gdot))
-        bot.append(f.vadd(f.vmul(omega, sq), gdot))
-    x2 = f.vmul(xs, xs)
-    for a in range(1, spec.kappa + 1):
-        minus_ax = f.vmul(f.neg(a), xs)
-        shift = f.mul(shrink, f.mul(a, a))
-        top.append(f.vadd(x2, minus_ax))
-        bot.append(f.vadd(f.vadd(f.vmul(omega, x2), minus_ax), f.neg(shift)))
-    cells = np.vstack([np.column_stack(top), np.column_stack(bot)])
-    return Array(cells + 1, spec.s)
+    gdot = _gamma_dots(f, gammas, ys)
+    elems = np.arange(f.order)
+    twist = f.vmul(shrink, f.vmul(elems, elems))
+    beta, g = _pairs(f.order * len(gammas), gammas)
+    diff = f.vadd(xs[:, None], f._neg[beta])
+    sq = f.vmul(diff, diff)
+    a = elems[1 : spec.kappa + 1]
+    x2 = f.vmul(xs, xs)[:, None]
+    minus_ax = f.vmul(xs[:, None], f._neg[a])
+    top = [_linear_block(f, xs, gdot), f.vadd(sq, gdot[:, g]), f.vadd(x2, minus_ax)]
+    bot = [
+        _linear_block(f, xs, gdot, twist),
+        f.vadd(f.vmul(omega, sq), gdot[:, g]),
+        f.vadd(f.vadd(f.vmul(omega, x2), minus_ax), f._neg[twist[a]]),
+    ]
+    return Array(np.vstack([np.hstack(top), np.hstack(bot)]) + 1, spec.s)
 
 
 def ak_ext_even(spec: ConstructionSpec) -> Array:
@@ -251,23 +254,17 @@ def ak_ext_even(spec: ConstructionSpec) -> Array:
     zeta = f.find_zeta()
     gammas = gamma_set(f, spec.ell)
     xs, ys = _row_coordinates(f, spec.ell)
-
-    def twist(a: int) -> np.ndarray:
-        return np.full(xs.shape, f.mul(zeta, f.mul(a, a)), dtype=np.int64)
-
-    top = _linear_block(f, gammas, xs, ys)
-    bot = _linear_block(f, gammas, xs, ys, twist=twist)
-    x2 = f.vmul(xs, xs)
-    for beta, gamma in itertools.product(f.elements, gammas.vectors):
-        base = f.vadd(f.vadd(x2, f.vmul(beta, xs)), _gamma_dot(f, gamma, ys))
-        top.append(base)
-        bot.append(f.vadd(base, f.mul(zeta, f.mul(beta, beta))))
-    for delta in range(1, spec.kappa + 1):
-        base = f.vadd(x2, f.vmul(delta, xs))
-        top.append(base)
-        bot.append(f.vadd(base, f.mul(zeta, f.mul(delta, delta))))
-    cells = np.vstack([np.column_stack(top), np.column_stack(bot)])
-    return Array(cells + 1, spec.s)
+    gdot = _gamma_dots(f, gammas, ys)
+    elems = np.arange(f.order)
+    twist = f.vmul(zeta, f.vmul(elems, elems))
+    beta, g = _pairs(f.order * len(gammas), gammas)
+    delta = elems[1 : spec.kappa + 1]
+    x2 = f.vmul(xs, xs)[:, None]
+    quad = f.vadd(f.vadd(x2, f.vmul(xs[:, None], beta)), gdot[:, g])
+    ext = f.vadd(x2, f.vmul(xs[:, None], delta))
+    top = [_linear_block(f, xs, gdot), quad, ext]
+    bot = [_linear_block(f, xs, gdot, twist), f.vadd(quad, twist[beta]), f.vadd(ext, twist[delta])]
+    return Array(np.vstack([np.hstack(top), np.hstack(bot)]) + 1, spec.s)
 
 
 def construct(spec: ConstructionSpec) -> Array:

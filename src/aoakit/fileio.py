@@ -290,18 +290,33 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, text: str) -> "CatalogEntry":
+        """Read a sidecar; a field of the wrong JSON type raises ``ValueError`` naming it."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("sidecar is not a JSON object")
         if doc.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported catalog format {doc.get('format_version')!r}")
-        params = doc["parameters"]
+        params = doc.get("parameters")
+        for key in ("N", "k", "s"):
+            if not isinstance(params, dict) or type(params.get(key)) is not int:
+                raise ValueError(f"parameters.{key} is not an integer")
+        metrics = doc.get("metrics")
+        if not isinstance(metrics, dict) or not all(isinstance(v, str) for v in metrics.values()):
+            raise ValueError("metrics is not an object of strings")
+        config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise ValueError("config is not an object")
+        for key in ("name", "provenance"):
+            if not isinstance(doc.get(key), str):
+                raise ValueError(f"{key} is not a string")
         return cls(
             name=doc["name"],
             n_runs=params["N"],
             n_factors=params["k"],
             n_levels=params["s"],
             provenance=doc["provenance"],
-            metrics=doc["metrics"],
-            config=doc.get("config", {}),
+            metrics=metrics,
+            config=config,
         )
 
 
@@ -351,7 +366,7 @@ def catalog_list(
     for sidecar in sorted(directory.glob("*.json")):
         try:
             entry = CatalogEntry.from_json(sidecar.read_text(encoding="ascii"))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValueError(f"corrupt catalog entry {sidecar.name}: {exc}") from exc
         if s is not None and entry.n_levels != s:
             continue
@@ -389,7 +404,7 @@ def catalog_recheck(directory) -> CatalogReport:
         try:
             entry = CatalogEntry.from_json(sidecar.read_text(encoding="ascii"))
             a, _ = read_array(directory / f"{name}.txt")
-        except (ValueError, KeyError, OSError, ParseError) as exc:
+        except (ValueError, OSError, ParseError) as exc:
             corrupt.append((name, str(exc)))
             continue
         checked += 1

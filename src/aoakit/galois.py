@@ -1,6 +1,6 @@
 """Finite-field arithmetic for small prime-power orders.
 
-Fields GF(p^m) with order up to 2^16 are represented by precomputed addition
+Fields GF(p^m) with order up to 2^12 are represented by precomputed addition
 and multiplication tables. Elements are integers in ``0..s-1``: the integer
 ``e`` encodes the residue polynomial whose coefficient of ``x^i`` is the
 ``i``-th base-``p`` digit of ``e`` (constant term least significant).
@@ -13,7 +13,6 @@ field deterministic; arrays built on top of it are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,78 +48,35 @@ def is_prime_power(s: int) -> tuple[int, int] | None:
     return (s, 1)
 
 
-# -- polynomial helpers over GF(p), coefficient lists with index = power --
+_MAX_ORDER = 2**12
+"""Largest field order. Each int64 table then takes 128 MiB, and the build
+holds four such tables at its peak (513 MiB under ``tracemalloc`` at 4096)."""
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
+def _tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Addition, multiplication and negation tables of GF(p^m), and the modulus.
 
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        _poly_trim(a)
-        if len(a) == 1 and a[0] == 0:
-            break
-    return a
-
-
-def _int_to_poly(e: int, p: int) -> list[int]:
-    if e == 0:
-        return [0]
-    digits = []
-    while e:
-        digits.append(e % p)
-        e //= p
-    return digits
-
-
-def _poly_to_int(c: list[int], p: int) -> int:
-    value = 0
-    for coef in reversed(c):
-        value = value * p + coef
-    return value
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(mod) - 1
-    for d in range(1, deg // 2 + 1):
-        # monic degree-d divisors, enumerated by their lower coefficients
-        for low in range(p**d):
-            div = _int_to_poly(low, p)
-            div += [0] * (d - len(div)) + [1]
-            if _poly_to_int(_poly_mod(mod, div, p), p) == 0:
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, m: int) -> list[int]:
-    """Lexicographically smallest irreducible monic polynomial of degree m."""
-    if m == 1:
-        return [0, 1]  # x
-    for low in range(p**m):
-        mod = _int_to_poly(low, p)
-        mod += [0] * (m - len(mod)) + [1]
-        if _is_irreducible(mod, p):
-            return mod
+    The modulus is the first monic ``x^m + low(x)``, in the order of ``low``,
+    whose multiplication table has no zero divisor: the quotient ring is a
+    field exactly when the polynomial is irreducible.
+    """
+    s = p**m
+    weights = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(s, dtype=np.int64)[:, None] // weights % p  # constant term first
+    add = np.zeros((s, s), dtype=np.int64)
+    for i in range(m):  # digit by digit, so that every temporary stays s x s
+        add += (digits[:, None, i] + digits[None, :, i]) % p * weights[i]
+    neg = (add == 0).argmax(axis=1)
+    scale = np.arange(p)[:, None, None] * digits % p @ weights  # scale[c, e] = c*e
+    shifted = np.arange(s, dtype=np.int64) % (s // p) * p  # x*e before reducing x^m
+    for low in range(s):
+        times_x = add[shifted, scale[digits[:, m - 1], neg[low]]]
+        mul = scale[digits[:, m - 1]]
+        for i in range(m - 2, -1, -1):  # Horner over the digits of the first operand
+            mul = times_x[mul]  # a step of its own frees the old table before the next gather
+            mul = add[mul, scale[digits[:, i]]]
+        if not (mul[1:, 1:] == 0).any():
+            return add, mul, neg, tuple(int(c) for c in digits[low]) + (1,)
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
@@ -143,38 +99,15 @@ class Field:
         pm = is_prime_power(order)
         if pm is None:
             raise ValueError(f"{order} is not a prime power")
-        if order > 2**16:
-            raise ValueError(f"order {order} too large (limit 2^16)")
+        if order > _MAX_ORDER:
+            raise ValueError(f"order {order} too large (limit 2^12)")
         p, m = pm
         self.order = order
         self.char = p
         self.degree = m
-        mod = _smallest_irreducible(p, m)
-        self.modulus = tuple(mod)
-
-        s = order
-        add = np.empty((s, s), dtype=np.int64)
-        mul = np.empty((s, s), dtype=np.int64)
-        polys = [_int_to_poly(e, p) for e in range(s)]
-        for a in range(s):
-            for b in range(s):
-                pa, pb = polys[a], polys[b]
-                width = max(len(pa), len(pb))
-                summed = [
-                    ((pa[i] if i < len(pa) else 0) + (pb[i] if i < len(pb) else 0)) % p
-                    for i in range(width)
-                ]
-                add[a, b] = _poly_to_int(_poly_trim(summed), p)
-                mul[a, b] = _poly_to_int(_poly_mod(_poly_mul(pa, pb, p), mod, p), p)
-        self._add = add
-        self._mul = mul
-        self._neg = np.array(
-            [int(np.where(add[a] == 0)[0][0]) for a in range(s)], dtype=np.int64
-        )
-        inv = np.full(s, -1, dtype=np.int64)
-        for a in range(1, s):
-            inv[a] = int(np.where(mul[a] == 1)[0][0])
-        self._inv = inv
+        self._add, self._mul, self._neg, self.modulus = _tables(p, m)
+        self._inv = (self._mul == 1).argmax(axis=1)
+        self._inv[0] = -1
 
     # -- element arithmetic -------------------------------------------------
 
@@ -229,10 +162,7 @@ class Field:
 
     def from_int(self, n: int) -> int:
         """Image of the integer n under repeated addition of 1 (prime map)."""
-        out = 0
-        for _ in range(n % self.char):
-            out = self.add(out, 1)
-        return out
+        return n % self.char
 
     # -- maps and special elements -------------------------------------------
 
@@ -310,7 +240,7 @@ def make_field(s: int) -> Field:
     Parameters
     ----------
     s : int
-        A prime power at most 2^16.
+        A prime power at most 2^12.
 
     Returns
     -------
@@ -319,6 +249,6 @@ def make_field(s: int) -> Field:
     Raises
     ------
     ValueError
-        If ``s`` is not a prime power.
+        If ``s`` is not a prime power, or is above 2^12.
     """
     return Field(s)

@@ -40,7 +40,13 @@ array-backed audit, and the earlier full-table ``is_oa``, ``tolerance``,
 ``_count_table``), kept verbatim as the reference for the versions read off
 the count histogram and, for non-integer p, summed chunk by chunk, and the
 earlier bucket-dict ``arrange_canonical`` (``arrange_canonical_loop``), kept
-verbatim as the reference for the argsort of the head-pair codes.
+verbatim as the reference for the argsort of the head-pair codes, and the
+earlier field build (``field_tables_poly``: seven polynomial helpers over
+GF(p) and a loop over every cell of the tables), kept verbatim as the
+reference for the vectorised tables and moduli, and the earlier one-column-at-
+a-time constructions (``ak_half_loop``, ``ak_ext_odd_loop`` and
+``ak_ext_even_loop``, with ``_gamma_dot`` and ``_linear_block``), kept
+verbatim as the reference for the whole-block table lookups.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ from aoakit.arrays import (
     tolerance,
     unbalance,
 )
+from aoakit.constructions import ConstructionSpec, GammaSet, _row_coordinates, gamma_set
+from aoakit.galois import Field, is_prime_power, make_field
 from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
@@ -1348,3 +1356,222 @@ def evaluate_model_loop(model, assignment: dict[str, float]) -> ModelCheck:
     objective = sum(coef * val(name) for coef, name in model.linear_objective)
     objective += sum(coef * val(name) ** 2 for coef, name in model.quadratic_objective)
     return ModelCheck(objective=objective, violations=violations)
+
+
+# --- Galois fields: the polynomial helpers and the per-cell table build ------
+
+
+def _poly_trim(c: list[int]) -> list[int]:
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_trim(out)
+
+
+def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
+    a = list(a)
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, p)
+    while len(a) - 1 >= dm and any(a):
+        shift = len(a) - 1 - dm
+        factor = (a[-1] * inv_lead) % p
+        for i, mi in enumerate(mod):
+            a[shift + i] = (a[shift + i] - factor * mi) % p
+        _poly_trim(a)
+        if len(a) == 1 and a[0] == 0:
+            break
+    return a
+
+
+def _int_to_poly(e: int, p: int) -> list[int]:
+    if e == 0:
+        return [0]
+    digits = []
+    while e:
+        digits.append(e % p)
+        e //= p
+    return digits
+
+
+def _poly_to_int(c: list[int], p: int) -> int:
+    value = 0
+    for coef in reversed(c):
+        value = value * p + coef
+    return value
+
+
+def _is_irreducible(mod: list[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    deg = len(mod) - 1
+    for d in range(1, deg // 2 + 1):
+        # monic degree-d divisors, enumerated by their lower coefficients
+        for low in range(p**d):
+            div = _int_to_poly(low, p)
+            div += [0] * (d - len(div)) + [1]
+            if _poly_to_int(_poly_mod(mod, div, p), p) == 0:
+                return False
+    return True
+
+
+def _smallest_irreducible(p: int, m: int) -> list[int]:
+    """Lexicographically smallest irreducible monic polynomial of degree m."""
+    if m == 1:
+        return [0, 1]  # x
+    for low in range(p**m):
+        mod = _int_to_poly(low, p)
+        mod += [0] * (m - len(mod)) + [1]
+        if _is_irreducible(mod, p):
+            return mod
+    raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def field_tables_poly(order: int):
+    """``(add, mul, neg, inv, modulus)`` of GF(order), built cell by cell."""
+    p, m = is_prime_power(order)
+    mod = _smallest_irreducible(p, m)
+    modulus = tuple(mod)
+
+    s = order
+    add = np.empty((s, s), dtype=np.int64)
+    mul = np.empty((s, s), dtype=np.int64)
+    polys = [_int_to_poly(e, p) for e in range(s)]
+    for a in range(s):
+        for b in range(s):
+            pa, pb = polys[a], polys[b]
+            width = max(len(pa), len(pb))
+            summed = [
+                ((pa[i] if i < len(pa) else 0) + (pb[i] if i < len(pb) else 0)) % p
+                for i in range(width)
+            ]
+            add[a, b] = _poly_to_int(_poly_trim(summed), p)
+            mul[a, b] = _poly_to_int(_poly_mod(_poly_mul(pa, pb, p), mod, p), p)
+    neg = np.array(
+        [int(np.where(add[a] == 0)[0][0]) for a in range(s)], dtype=np.int64
+    )
+    inv = np.full(s, -1, dtype=np.int64)
+    for a in range(1, s):
+        inv[a] = int(np.where(mul[a] == 1)[0][0])
+    return add, mul, neg, inv, modulus
+
+
+# --- constructions: one column at a time ------------------------------------
+
+
+def _gamma_dot(f: Field, gamma: tuple[int, ...], ys: np.ndarray) -> np.ndarray:
+    acc = np.zeros(ys.shape[0], dtype=np.int64)
+    for coef, col in zip(gamma, ys.T):
+        acc = f.vadd(acc, f.vmul(coef, col))
+    return acc
+
+
+def _linear_block(f: Field, gammas: GammaSet, xs, ys, twist=None) -> list[np.ndarray]:
+    """Columns x and a*x + gamma'y (+ optional per-(a) twist term)."""
+    cols = [xs.copy()]
+    for a in f.elements:
+        ax = f.vmul(a, xs)
+        extra = twist(a) if twist is not None else None
+        for gamma in gammas.vectors:
+            col = f.vadd(ax, _gamma_dot(f, gamma, ys))
+            if extra is not None:
+                col = f.vadd(col, extra)
+            cols.append(col)
+    return cols
+
+
+def ak_half_loop(spec: ConstructionSpec) -> Array:
+    """Linear block plus ``kappa`` quadratic columns x^2 + beta*x + gamma'y.
+
+    The quadratic column index set is the first ``kappa`` pairs (beta, gamma)
+    in enumeration order.
+    """
+    if spec.variant != "half":
+        raise ValueError("spec.variant must be 'half'")
+    f = make_field(spec.s)
+    gammas = gamma_set(f, spec.ell)
+    xs, ys = _row_coordinates(f, spec.ell)
+    cols = _linear_block(f, gammas, xs, ys)
+    xi = list(itertools.product(f.elements, gammas.vectors))[: spec.kappa]
+    x2 = f.vmul(xs, xs)
+    for beta, gamma in xi:
+        col = f.vadd(f.vadd(x2, f.vmul(beta, xs)), _gamma_dot(f, gamma, ys))
+        cols.append(col)
+    return Array(np.column_stack(cols) + 1, spec.s)
+
+
+def ak_ext_odd_loop(spec: ConstructionSpec) -> Array:
+    """Two stacked blocks twisted by a non-square, for odd s > 2.
+
+    Top rows:    ( x | a*x+g'y | (x-beta)^2+g'y      | x^2-a*x                  )
+    Bottom rows: ( x | a*x+g'y+c*a^2 | w*(x-beta)^2+g'y | w*x^2-a*x-c*a^2 )
+    with w the first non-square, c = (1 - 1/w)/4, quadratic columns over all
+    (beta, gamma), and extension columns over a in {1..kappa} (beta0 = 0).
+    """
+    if spec.variant != "odd_ext":
+        raise ValueError("spec.variant must be 'odd_ext'")
+    f = make_field(spec.s)
+    omega = f.find_nonsquare()
+    inv4 = f.inv(f.from_int(4))
+    shrink = f.mul(f.sub(1, f.inv(omega)), inv4)  # (1 - 1/w) / 4
+    gammas = gamma_set(f, spec.ell)
+    xs, ys = _row_coordinates(f, spec.ell)
+
+    def twist(a: int) -> np.ndarray:
+        return np.full(xs.shape, f.mul(shrink, f.mul(a, a)), dtype=np.int64)
+
+    top = _linear_block(f, gammas, xs, ys)
+    bot = _linear_block(f, gammas, xs, ys, twist=twist)
+    for beta, gamma in itertools.product(f.elements, gammas.vectors):
+        diff = f.vadd(xs, f.neg(beta))
+        sq = f.vmul(diff, diff)
+        gdot = _gamma_dot(f, gamma, ys)
+        top.append(f.vadd(sq, gdot))
+        bot.append(f.vadd(f.vmul(omega, sq), gdot))
+    x2 = f.vmul(xs, xs)
+    for a in range(1, spec.kappa + 1):
+        minus_ax = f.vmul(f.neg(a), xs)
+        shift = f.mul(shrink, f.mul(a, a))
+        top.append(f.vadd(x2, minus_ax))
+        bot.append(f.vadd(f.vadd(f.vmul(omega, x2), minus_ax), f.neg(shift)))
+    cells = np.vstack([np.column_stack(top), np.column_stack(bot)])
+    return Array(cells + 1, spec.s)
+
+
+def ak_ext_even_loop(spec: ConstructionSpec) -> Array:
+    """Two stacked blocks twisted by a subfield-avoiding element, even s > 2.
+
+    Top rows:    ( x | a*x+g'y | x^2+beta*x+g'y          | x^2+d*x         )
+    Bottom rows: ( x | a*x+g'y+a^2*z | x^2+beta*x+g'y+beta^2*z | x^2+d*x+d^2*z )
+    with z the first element outside the half-order subfield, quadratic
+    columns over all (beta, gamma), and extension columns d in {1..kappa}.
+    """
+    if spec.variant != "even_ext":
+        raise ValueError("spec.variant must be 'even_ext'")
+    f = make_field(spec.s)
+    zeta = f.find_zeta()
+    gammas = gamma_set(f, spec.ell)
+    xs, ys = _row_coordinates(f, spec.ell)
+
+    def twist(a: int) -> np.ndarray:
+        return np.full(xs.shape, f.mul(zeta, f.mul(a, a)), dtype=np.int64)
+
+    top = _linear_block(f, gammas, xs, ys)
+    bot = _linear_block(f, gammas, xs, ys, twist=twist)
+    x2 = f.vmul(xs, xs)
+    for beta, gamma in itertools.product(f.elements, gammas.vectors):
+        base = f.vadd(f.vadd(x2, f.vmul(beta, xs)), _gamma_dot(f, gamma, ys))
+        top.append(base)
+        bot.append(f.vadd(base, f.mul(zeta, f.mul(beta, beta))))
+    for delta in range(1, spec.kappa + 1):
+        base = f.vadd(x2, f.vmul(delta, xs))
+        top.append(base)
+        bot.append(f.vadd(base, f.mul(zeta, f.mul(delta, delta))))
+    cells = np.vstack([np.column_stack(top), np.column_stack(bot)])
+    return Array(cells + 1, spec.s)

@@ -178,6 +178,15 @@ class TestCountTable:
         # two transposed copies of the cells are the only other allocations
         assert peak <= arrays_mod._CHUNK_BYTES + table_bytes + 2 * a.cells.nbytes
 
+    def test_table_row_above_the_limit_is_refused_before_counting(self):
+        a = Array(np.array([[1, 1], [1, 2]]), 10**6)
+        for metric in (lambda: is_oa(a, 2), lambda: tolerance(a, 2), lambda: unbalance(a, 2, 2)):
+            with pytest.raises(ValueError, match=r"s\^t = 1000000000000 cells"):
+                metric()
+        with pytest.raises(ValueError, match="strength t=3 out of range 1..2"):
+            tolerance(a, 3)
+        assert not is_oa(a, 1)  # one row of 10^6 cells is still counted
+
     def test_balanced_pairs_answer_sub_array_strength_two(self, rng):
         b = cyclic_oa(3)
         a = Array(np.hstack([b.cells, b.cells[:, :1], b.cells[:, 1:]]), 3)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import aoakit
+from aoakit import constructions
 from aoakit.arrays import Array, is_oa
 from aoakit.cli import main
 from aoakit.fileio import read_array, write_array
@@ -110,6 +111,18 @@ class TestEval:
         assert out == ""
         assert "out of range" in err
 
+    def test_table_row_above_the_limit_is_usage_without_output(self, capsys, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("2 2 1000000\n1 1\n1 2\n")
+        code, out, err = run(capsys, "eval", big)
+        assert code == 1
+        assert out == ""
+        assert "s^t = 1000000000000 cells" in err
+        code, out, err = run(capsys, "eval", big, "--t", 1, "--t", 3)
+        assert code == 1
+        assert out == ""
+        assert "strength t=3 out of range 1..2" in err
+
     @pytest.mark.parametrize("p", [0, -1])
     def test_non_positive_exponent_is_usage_without_output(self, capsys, oa_file, p):
         code, out, err = run(capsys, "eval", oa_file, "--p", 1, "--p", p)
@@ -182,6 +195,20 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "even-ext", 5, 2, 1, "-o", tmp_path / "x")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_oversized_array_is_usage_error_before_building(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def refuse(spec):
+            raise AssertionError("columns built")
+
+        monkeypatch.setattr(constructions, "construct", refuse)
+        out_path = tmp_path / "x.txt"
+        code, out, err = run(capsys, "construct", "half", 64, 3, 1, "-o", out_path)
+        assert code == 1
+        assert out == ""
+        assert "N*k = 1091043328 cells" in err
+        assert not out_path.exists()
 
     def test_unknown_variant_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "construct", "mirror", 3, 2, 1, "-o", tmp_path / "x")
@@ -626,6 +653,42 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "recheck", cat)
         assert code == 3
         assert "corrupt: hollow" in out
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[]", "sidecar is not a JSON object"),
+            (
+                '{"format_version": 1, "name": "a", "provenance": "imported",'
+                ' "parameters": {"N": 4, "k": 4, "s": 2}, "metrics": "x"}',
+                "metrics is not an object of strings",
+            ),
+        ],
+        ids=["list", "string-metrics"],
+    )
+    def test_sidecar_of_the_wrong_shape_is_reported(self, capsys, tmp_path, t0_file, text, error):
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        run(capsys, "catalog", "add", cat, t0_file, "--name", "t0")
+        (cat / "a.json").write_text(text)
+        code, out, err = run(capsys, "catalog", "list", cat)
+        assert code == 1
+        assert out == ""
+        assert f"corrupt catalog entry a.json: {error}" in err
+        code, out, _ = run(capsys, "catalog", "recheck", cat)
+        assert code == 3
+        assert out == f"checked = 1\ncorrupt: a ({error})\n"
+
+    def test_add_of_an_uncountable_array_is_usage_error(self, capsys, tmp_path):
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        big = tmp_path / "big.txt"
+        big.write_text("2 2 1000000\n1 1\n1 2\n")
+        code, out, err = run(capsys, "catalog", "add", cat, big)
+        assert code == 1
+        assert out == ""
+        assert "s^t = 1000000000000 cells" in err
+        assert list(cat.iterdir()) == []
 
     def test_add_requires_array_argument(self, capsys, tmp_path):
         cat = tmp_path / "cat"

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from aoakit import arrays as arrays_mod
+from aoakit import constructions as constructions_mod
 from aoakit.arrays import Array, _count_histogram, lower_bound_unb22, tolerance, unbalance
 from aoakit.constructions import (
     ConstructionSpec,
@@ -13,7 +15,13 @@ from aoakit.constructions import (
 )
 from aoakit.galois import make_field
 
-from oracles import tolerance_table, unbalance_table
+from oracles import (
+    ak_ext_even_loop,
+    ak_ext_odd_loop,
+    ak_half_loop,
+    tolerance_table,
+    unbalance_table,
+)
 
 
 # (s, k, unb2, tol) for the one-quadratic-column family over s^2 runs.
@@ -89,6 +97,14 @@ class TestSpecValidation:
         spec = ConstructionSpec(s=3, ell=3, kappa=2, variant="odd_ext")
         assert spec.n_runs == 2 * 27
         assert spec.n_factors == 2 * 13 - 1 + 2
+
+    def test_oversized_array_is_refused_before_the_field_is_built(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(constructions_mod, "make_field", refuse)
+        with pytest.raises(ValueError, match="N\\*k = 1091043328 cells"):
+            ConstructionSpec(s=64, ell=3, kappa=1, variant="half")  # 262144 x 4162
 
     def test_dispatch_guards(self):
         half = ConstructionSpec(s=3, ell=2, kappa=1, variant="half")
@@ -222,3 +238,19 @@ class TestDeterminism:
         assert verify_construction(b, spec) == report
         assert report.tol_measured == tolerance_table(a, 2)
         assert report.unb_measured == {p: unbalance_table(a, 2, p) for p in (1, 2, 3)}
+
+
+class TestMatchesTheColumnLoops:
+    # every valid spec with s <= 9 and ell <= 3: 384 arrays
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_arrays_equal_the_references(self, s, ell):
+        variants = [("half", ak_half_loop, s * (s ** (ell - 1) - 1) // (s - 1))]
+        if s > 2:
+            variants.append((ext_variant(s), ak_ext_odd_loop if s % 2 else ak_ext_even_loop, s - 1))
+        for variant, reference, kappa_max in variants:
+            for kappa in range(1, kappa_max + 1):
+                spec = ConstructionSpec(s=s, ell=ell, kappa=kappa, variant=variant)
+                got, want = construct(spec), reference(spec)
+                assert got.cells.dtype == want.cells.dtype, spec
+                assert np.array_equal(got.cells, want.cells), spec

@@ -370,6 +370,28 @@ class TestCatalogEntry:
             CatalogEntry.from_json(json.dumps(doc))
 
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: [], "not a JSON object"),
+            (lambda doc: {**doc, "parameters": [4, 4, 2]}, "parameters.N"),
+            (lambda doc: {**doc, "parameters": {"N": 4, "k": "4", "s": 2}}, "parameters.k"),
+            (lambda doc: {**doc, "parameters": {"N": 4, "k": 4}}, "parameters.s"),
+            (lambda doc: {**doc, "metrics": "x"}, "metrics"),
+            (lambda doc: {**doc, "metrics": {"unb1": 4}}, "metrics"),
+            (lambda doc: {**doc, "config": 7}, "config"),
+            (lambda doc: {**doc, "name": None}, "name"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "provenance"}, "provenance"),
+        ],
+        ids=["list", "params-list", "k-string", "s-missing", "metrics-string",
+             "metric-int", "config-int", "name-null", "provenance-missing"],
+    )
+    def test_rejects_a_field_of_the_wrong_shape(self, edit, field):
+        doc = edit(json.loads(self.entry().to_json()))
+        with pytest.raises(ValueError, match=field):
+            CatalogEntry.from_json(json.dumps(doc))
+
+
 class TestCatalog:
     def test_add_writes_both_files(self, tmp_path, t0):
         entry = catalog_add(tmp_path, t0, "t0", provenance="construction")

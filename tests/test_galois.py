@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aoakit.galois import Field, is_prime_power, make_field
+
+from oracles import field_tables_poly
 
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27]
@@ -200,3 +203,26 @@ class TestMakeField:
             Field(1)
         with pytest.raises(ValueError):
             Field(2**17)
+
+
+class TestTablesMatchThePolynomialBuild:
+    @pytest.mark.parametrize(
+        "order", [q for q in range(2, 65) if is_prime_power(q)] + [81, 125, 128, 243, 256]
+    )
+    def test_tables_and_modulus(self, order):
+        f = Field(order)
+        add, mul, neg, inv, modulus = field_tables_poly(order)
+        for got, want in ((f._add, add), (f._mul, mul), (f._neg, neg), (f._inv, inv)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert f.modulus == modulus
+
+    def test_order_above_the_limit_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="order 8192 too large"):
+                Field(2**13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
