@@ -21,6 +21,9 @@ as they arrive.  The exact oracles of ``search`` and ``ipmodel`` share one
 state scan, ``_state_blocks``: it counts each prefix's pairs once and scores
 its last columns in integer blocks.
 
+``_level_digits`` is the one writer of the lexicographic grid of level vectors:
+the oracles' heads, pools and last columns and the constructions' rows read it.
+
 All counting metrics are exact: deviations are computed as integers scaled by
 ``s^t`` and reduced at the end, so results are python ints (or Fractions when
 ``s^t`` does not divide ``N``).
@@ -548,8 +551,8 @@ def cyclic_oa(s: int, lam: int = 1) -> Array:
         raise ValueError("s must be >= 2")
     if lam < 1:
         raise ValueError("lam must be >= 1")
-    u, v = np.divmod(np.arange(s * s), s)
-    block = np.column_stack([u, v, (u + v) % s]) + 1
+    uv = _level_digits(np.arange(s * s), 2, s)
+    block = np.column_stack([uv, uv.sum(axis=1) % s]) + 1
     return Array(np.vstack([block] * lam), s)
 
 

@@ -61,7 +61,7 @@ def _cmd_eval(args) -> int:
     a, _ = fileio.read_array(args.path)
     ts = args.t or [2]
     ps = args.p or [1, 2]
-    for t in ts:
+    for t in ts + [2] * args.d_criteria:  # D1 and D2 count the strength-2 table
         _check_strength(a, t)
     for p in ps:
         if p < 1:

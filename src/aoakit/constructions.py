@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Array, _balanced_pairs, is_oa, tolerance, unbalance
+from .arrays import Array, _balanced_pairs, _level_digits, is_oa, tolerance, unbalance
 from .galois import Field, is_prime_power, make_field
 
 __all__ = [
@@ -65,11 +65,9 @@ def gamma_set(f: Field, ell: int) -> GammaSet:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     s = f.order
-    vectors = [
-        v
-        for v in itertools.product(range(s), repeat=ell - 1)
-        if any(v) and next(c for c in v if c) == 1
-    ]
+    grid = _level_digits(np.arange(s ** (ell - 1)), ell - 1, s)
+    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]  # 0 on the zero vector
+    vectors = list(map(tuple, grid[first == 1].tolist()))
     expected = (s ** (ell - 1) - 1) // (s - 1)
     if len(vectors) != expected:
         raise AssertionError("projective representative count mismatch")
@@ -102,6 +100,13 @@ class ConstructionSpec:
             raise ValueError("ell must be >= 2")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
+        if self.s < 2:
+            raise ValueError(f"{self.s} is not a prime power")
+        if self.ell >= 27:  # N >= 2^27; sizes go before the slow s**ell and is_prime_power
+            raise ValueError(f"array too large: ell = {self.ell} means N >= 2^27 (limit 10^8)")
+        cells = self.n_runs * self.n_factors
+        if cells > _MAX_CELLS:
+            raise ValueError(f"array too large: N*k = {cells} cells (limit 10^8)")
         if is_prime_power(self.s) is None:
             raise ValueError(f"{self.s} is not a prime power")
         if self.variant == "half":
@@ -120,9 +125,6 @@ class ConstructionSpec:
                 raise ValueError("variant 'even_ext' requires even s")
             if self.kappa > self.s - 1:
                 raise ValueError("kappa must be <= s - 1 for the extensions")
-        cells = self.n_runs * self.n_factors
-        if cells > _MAX_CELLS:
-            raise ValueError(f"array too large: N*k = {cells} cells (limit 10^8)")
 
     @property
     def n_runs(self) -> int:
@@ -158,12 +160,8 @@ class ConstructionSpec:
 
 def _row_coordinates(f: Field, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """All of F_s^ell as (x, y) with x major and y lexicographic."""
-    s = f.order
-    ys = np.array(list(itertools.product(range(s), repeat=ell - 1)), dtype=np.int64)
-    ys = ys.reshape(s ** (ell - 1), ell - 1)
-    xs = np.repeat(np.arange(s, dtype=np.int64), s ** (ell - 1))
-    ys = np.tile(ys, (s, 1))
-    return xs, ys
+    grid = _level_digits(np.arange(f.order**ell), ell, f.order)
+    return grid[:, 0], grid[:, 1:]
 
 
 def _gamma_dots(f: Field, gammas: GammaSet, ys: np.ndarray) -> np.ndarray:

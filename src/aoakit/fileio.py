@@ -58,10 +58,9 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-def _int_fields(line: str, lineno: int, path: str | None) -> list[tuple[int, int]]:
-    """(value, 1-based column) per whitespace-separated field."""
+def _int_fields(line: str, lineno: int, path: str | None, col: int = 0) -> list[tuple[int, int]]:
+    """(value, 1-based column) per space-separated field; ``line`` starts after column ``col``."""
     out = []
-    col = 0
     for part in line.split(" "):
         col += 1
         if part:
@@ -71,6 +70,17 @@ def _int_fields(line: str, lineno: int, path: str | None) -> list[tuple[int, int
                 raise ParseError(f"expected an integer, got {part!r}", lineno, col, path)
         col += len(part)
     return out
+
+
+def _level_row(line: str, k: int, s: int, lineno: int, path, col: int = 0) -> list[int]:
+    """The k levels in 1..s of one row, located like ``_int_fields``."""
+    fields = _int_fields(line, lineno, path, col)
+    if len(fields) != k:
+        raise ParseError(f"expected {k} values, found {len(fields)}", lineno, 1, path)
+    for value, at in fields:
+        if not 1 <= value <= s:
+            raise ParseError(f"value {value} outside 1..{s}", lineno, at, path)
+    return [value for value, _ in fields]
 
 
 def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, str]]:
@@ -88,15 +98,7 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
         raise ParseError("N, k, s must be positive", 1, 1, path)
     if len(lines) < 1 + n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", len(lines), 1, path)
-    rows = []
-    for lineno in range(2, 2 + n):
-        fields = _int_fields(lines[lineno - 1], lineno, path)
-        if len(fields) != k:
-            raise ParseError(f"expected {k} values, found {len(fields)}", lineno, 1, path)
-        for value, col in fields:
-            if not 1 <= value <= s:
-                raise ParseError(f"value {value} outside 1..{s}", lineno, col, path)
-        rows.append([value for value, _ in fields])
+    rows = [_level_row(lines[lineno - 1], k, s, lineno, path) for lineno in range(2, 2 + n)]
     metadata: dict[str, str] = {}
     for offset, line in enumerate(lines[1 + n :], start=2 + n):
         if not line.strip():
@@ -184,10 +186,8 @@ def parse_encoding(text: str, path: str | None = None) -> SymmetricEncoding:
         if not line.strip():
             continue
         target, body = (fixed, line[len("fixed:") :]) if line.startswith("fixed:") else (core, line)
-        fields = _int_fields(body.strip(), lineno, path)
-        if len(fields) != k:
-            raise ParseError(f"expected {k} values, found {len(fields)}", lineno, 1, path)
-        target.append(tuple(v for v, _ in fields))
+        col = len(line) - len(body.lstrip())  # columns before the first value
+        target.append(tuple(_level_row(body.strip(), k, s, lineno, path, col)))
     try:
         return SymmetricEncoding(
             kind=kind,

@@ -96,11 +96,11 @@ class Field:
     """
 
     def __init__(self, order: int):
+        if order > _MAX_ORDER:  # before the trial division, which is slow at large orders
+            raise ValueError(f"order {order} too large (limit 2^12)")
         pm = is_prime_power(order)
         if pm is None:
             raise ValueError(f"{order} is not a prime power")
-        if order > _MAX_ORDER:
-            raise ValueError(f"order {order} too large (limit 2^12)")
         p, m = pm
         self.order = order
         self.char = p

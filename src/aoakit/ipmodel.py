@@ -65,6 +65,7 @@ import numpy as np
 from .arrays import (
     Array,
     _count_table,
+    _level_digits,
     _pair_rows,
     _RunningMinimum,
     _state_blocks,
@@ -147,11 +148,13 @@ class IpInstance:
 
 
 def canonical_head(s: int, lam: int) -> np.ndarray:
-    """First two pinned columns: lam stacked copies of the lexicographic factorial."""
-    block = np.array(
-        [(u, v) for u in range(1, s + 1) for v in range(1, s + 1)], dtype=np.int64
-    )
-    return np.vstack([block] * lam)
+    """lam stacked lexicographic factorials: row c*s^2 + (u-1)*s + v-1 is (u, v) in copy c."""
+    return np.tile(_level_digits(np.arange(s * s), 2, s) + 1, (lam, 1))
+
+
+def _head_rows(s: int, lam: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """0-based row of the 0-based level pair (u[i], v[i]) in the copy of head row i."""
+    return np.arange(lam * s * s) // (s * s) * (s * s) + u * s + v
 
 
 def arrange_canonical(a: Array) -> Array:
@@ -377,14 +380,6 @@ def build_model(inst: IpInstance) -> IpModel:
     return model
 
 
-def _prefix_row_map(inst: IpInstance, image) -> list[int]:
-    """sigma[i-1] = image row of i under (u,v) -> image(u, v), in i's copy of the head."""
-    per_copy = inst.s**2
-    head = canonical_head(inst.s, inst.lam).tolist()
-    row = {(i // per_copy, u, v): i + 1 for i, (u, v) in enumerate(head)}
-    return [row[(i // per_copy, *image(u, v))] for i, (u, v) in enumerate(head)]
-
-
 def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
     """Append the variable-tying equalities for the declared automorphism.
 
@@ -403,15 +398,16 @@ def add_symmetry(model: IpModel, inst: IpInstance) -> IpModel:
         names = itertools.starmap(name, zip(*(axis.tolist() for axis in np.nonzero(keep))))
         model._add_rows(list(names), np.column_stack([a[keep], b[keep]]), (1, -1), 0)
 
+    u, v = canonical_head(s, inst.lam).T - 1
     if inst.symmetry in ("semicyclic", "both") and inst.m_bar < s:
         m_bar = inst.m_bar
-        g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
-        sigma = np.array(_prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))) - 1
+        g = np.array(cycle_permutation(s, tuple(range(m_bar, s + 1)))) - 1
+        sigma = _head_rows(s, inst.lam, g[u], g[v])
         fam = ["sim1"] * (m_bar - 1) + ["sim2"] * (s - m_bar) + ["sim3"]
-        tie(x, x[sigma][:, :, np.array(g) - 1],
+        tie(x, x[sigma][:, :, g],
             lambda i, j, m: f"{fam[m]}_{i + 1}_{j + 3}_{m + 1}")
     if inst.symmetry in ("klein", "both"):
-        swapped = x[np.array(_prefix_row_map(inst, lambda u, v: (v, u))) - 1]  # the prefix swap
+        swapped = x[_head_rows(s, inst.lam, v, u)]  # the prefix swap
         tie(x[:, :2].transpose(0, 2, 1), swapped[:, 1::-1].transpose(0, 2, 1),
             lambda i, m, j: f"sim0{j + 3}_{i + 1}_{m + 1}")  # columns 3 and 4 swap
         tie(x[:, 2:], swapped[:, 2:], lambda i, j, m: f"sim034_{i + 1}_{j + 5}_{m + 1}")
@@ -570,27 +566,14 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
     )
 
 
-def _balanced_columns(n: int, s: int, lam: int):
-    """All level vectors of length n with each level appearing lam*s times."""
-    counts = {m: lam * s for m in range(1, s + 1)}
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for m in range(1, s + 1):
-            if counts[m]:
-                counts[m] -= 1
-                prefix.append(m)
-                yield from rec(prefix)
-                prefix.pop()
-                counts[m] += 1
-
-    yield from rec([])
+def _balanced_pool(n: int, s: int, lam: int) -> np.ndarray:
+    """The 1-based level vectors of length n with each level lam*s times, in product order."""
+    grid = _level_digits(np.arange(s**n), n, s)
+    return grid[(np.sort(grid, axis=1) == np.arange(n) // (lam * s)).all(axis=1)] + 1
 
 
 def _balanced_column_count(n: int, s: int, lam: int) -> int:
-    """Number of vectors ``_balanced_columns`` yields: the multinomial n!/((lam*s)!)^s."""
+    """Number of rows of ``_balanced_pool``: the multinomial n!/((lam*s)!)^s."""
     return math.factorial(n) // math.factorial(lam * s) ** s
 
 
@@ -618,7 +601,7 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
     states = _balanced_column_count(n, s, lam) ** (k - 3) * s**n
     if states > max_states:
         raise ValueError(f"feasible set has {states} states (> {max_states})")
-    balanced = list(_balanced_columns(n, s, lam)) if k > 3 else []
+    balanced = _balanced_pool(n, s, lam) if k > 3 else []
     prefixes = ((mids, 0) for mids in itertools.product(balanced, repeat=k - 3))
     best, feasible = _RunningMinimum(8), 0
     # a state is within the epsilon bounds iff its tolerance is at most epsilon

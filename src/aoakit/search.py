@@ -44,6 +44,7 @@ The witnesses of each minimum are its first states in that order.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -446,16 +447,6 @@ class OracleResult:
     states: int = 0
 
 
-def _sorted_tuples(n: int, r: int, low: int = 0):
-    """Nondecreasing r-tuples over range(low, n) in ``combinations_with_replacement``
-    order, made one at a time: that function would first copy ``range(n)``."""
-    if r == 0:
-        yield ()
-        return
-    for i in range(low, n):
-        yield from ((i, *rest) for rest in _sorted_tuples(n, r - 1, i))
-
-
 def brute_force_optimum(
     n_runs: int,
     k: int,
@@ -484,11 +475,7 @@ def brute_force_optimum(
     if k > 2 and n_vectors > 10**6:
         raise ValueError(f"column-vector pool has {n_vectors} entries (> 10^6)")
 
-    head = np.array(
-        [(u, v) for u in range(1, s + 1) for v in range(1, s + 1)] * lam,
-        dtype=np.int64,
-    )
-    head = head[np.lexsort((head[:, 1], head[:, 0]))]
+    head = _level_digits(np.arange(n_runs) // lam, 2, s) + 1  # each level pair lam times
 
     tol_best = _RunningMinimum(max_witnesses)
     unb_best = _RunningMinimum(max_witnesses)
@@ -506,12 +493,11 @@ def brute_force_optimum(
         fold(np.array([tolerance(only, 2)]), np.array([unbalance(only, 2, p)]), lambda i: only)
         prefixes = ()
     else:
-        # a state is a sorted tail of k-2 pool indices: its first k-3 entries
-        # fix the prefix, and the last one runs from the prefix's last entry up
-        prefixes = (
-            (_level_digits(np.array(tail, dtype=np.int64), n_runs, s) + 1, tail[-1] if tail else 0)
-            for tail in _sorted_tuples(n_vectors, k - 3)
-        )
+        # a state is a sorted tail of k-2 pool indices: its first k-3 entries fix the prefix
+        # and the last runs up from the prefix's last; the function copies the pool: () at k = 3
+        tails = itertools.combinations_with_replacement(range(n_vectors) if k > 3 else (), k - 3)
+        prefixes = ((_level_digits(np.array(t, np.int64), n_runs, s) + 1, t[-1] if t else 0)
+                    for t in tails)
     for tol, unb, _, witness in _state_blocks(head, prefixes, s, p):
         fold(tol, unb, witness)
     if unb_best.value is None:

@@ -41,7 +41,11 @@ array-backed audit, and the earlier full-table ``is_oa``, ``tolerance``,
 the count histogram and, for non-integer p, summed chunk by chunk, and the
 earlier bucket-dict ``arrange_canonical`` (``arrange_canonical_loop``), kept
 verbatim as the reference for the argsort of the head-pair codes, and the
-earlier field build (``field_tables_poly``: seven polynomial helpers over
+earlier product-order enumerations (``canonical_head_list``, the dict
+row map ``_prefix_row_map``, the recursive generator ``_balanced_columns``,
+and ``gamma_set_product`` and ``row_coordinates_product`` over
+``itertools.product``), kept verbatim as the reference for the ones read off
+``arrays._level_digits``, and the earlier field build (``field_tables_poly``: seven polynomial helpers over
 GF(p) and a loop over every cell of the tables), kept verbatim as the
 reference for the vectorised tables and moduli, and the earlier one-column-at-
 a-time constructions (``ak_half_loop``, ``ak_ext_odd_loop`` and
@@ -84,9 +88,7 @@ from aoakit.ipmodel import (
     _NAME,
     _RELATIONS,
     _balanced_column_count,
-    _balanced_columns,
     _parts,
-    _prefix_row_map,
     arrange_canonical,
     canonical_head,
 )
@@ -369,6 +371,73 @@ def min_unbalance_grid_4_4_2(p: int):
                     elif tol < best_tol:
                         best_tol = tol
     return best_unb, best_tol
+
+
+# --- product-order enumerations written out one at a time -------------------
+
+
+def canonical_head_list(s: int, lam: int) -> np.ndarray:
+    """First two pinned columns: lam stacked copies of the lexicographic factorial."""
+    block = np.array(
+        [(u, v) for u in range(1, s + 1) for v in range(1, s + 1)], dtype=np.int64
+    )
+    return np.vstack([block] * lam)
+
+
+def _prefix_row_map(inst: IpInstance, image) -> list[int]:
+    """sigma[i-1] = image row of i under (u,v) -> image(u, v), in i's copy of the head."""
+    per_copy = inst.s**2
+    head = canonical_head(inst.s, inst.lam).tolist()
+    row = {(i // per_copy, u, v): i + 1 for i, (u, v) in enumerate(head)}
+    return [row[(i // per_copy, *image(u, v))] for i, (u, v) in enumerate(head)]
+
+
+def _balanced_columns(n: int, s: int, lam: int):
+    """All level vectors of length n with each level appearing lam*s times."""
+    counts = {m: lam * s for m in range(1, s + 1)}
+
+    def rec(prefix: list[int]):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for m in range(1, s + 1):
+            if counts[m]:
+                counts[m] -= 1
+                prefix.append(m)
+                yield from rec(prefix)
+                prefix.pop()
+                counts[m] += 1
+
+    yield from rec([])
+
+
+def gamma_set_product(f: Field, ell: int) -> GammaSet:
+    """Pairwise linearly independent direction vectors in F_s^(ell-1).
+
+    Size ``(s^(ell-1) - 1) / (s - 1)``.
+    """
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    s = f.order
+    vectors = [
+        v
+        for v in itertools.product(range(s), repeat=ell - 1)
+        if any(v) and next(c for c in v if c) == 1
+    ]
+    expected = (s ** (ell - 1) - 1) // (s - 1)
+    if len(vectors) != expected:
+        raise AssertionError("projective representative count mismatch")
+    return GammaSet(order=s, ell=ell, vectors=tuple(vectors))
+
+
+def row_coordinates_product(f: Field, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of F_s^ell as (x, y) with x major and y lexicographic."""
+    s = f.order
+    ys = np.array(list(itertools.product(range(s), repeat=ell - 1)), dtype=np.int64)
+    ys = ys.reshape(s ** (ell - 1), ell - 1)
+    xs = np.repeat(np.arange(s, dtype=np.int64), s ** (ell - 1))
+    ys = np.tile(ys, (s, 1))
+    return xs, ys
 
 
 def exhaustive_optimum_loop(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveResult:

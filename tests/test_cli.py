@@ -36,15 +36,16 @@ def lines_of(out):
     )
 
 
-def run_child(*argv):
+def run_child(*argv, timeout=60, check=True):
     """Run aoakit in a child process; ``--verbose`` needs one, because
-    logging.basicConfig leaves the test runner's own root handlers alone."""
+    logging.basicConfig leaves the test runner's own root handlers alone,
+    and so does a run that may hang, which the timeout then fails."""
     paths = [str(Path(aoakit.__file__).resolve().parents[1])]
     paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, "-m", "aoakit", *map(str, argv)],
-        capture_output=True, env=env, timeout=60, check=True,
+        capture_output=True, env=env, timeout=timeout, check=check,
     )
 
 
@@ -123,6 +124,14 @@ class TestEval:
         assert out == ""
         assert "strength t=3 out of range 1..2" in err
 
+    def test_d_criteria_strength_is_checked_before_any_output(self, capsys, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("2 2 1000000\n1 1\n1 2\n")
+        code, out, err = run(capsys, "eval", big, "--t", 1, "--d-criteria")
+        assert code == 1
+        assert out == ""
+        assert "strength t=2 needs s^t = 1000000000000 cells" in err
+
     @pytest.mark.parametrize("p", [0, -1])
     def test_non_positive_exponent_is_usage_without_output(self, capsys, oa_file, p):
         code, out, err = run(capsys, "eval", oa_file, "--p", 1, "--p", p)
@@ -195,6 +204,19 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "even-ext", 5, 2, 1, "-o", tmp_path / "x")
         assert code == 1
         assert err.startswith("error:")
+
+    # each ran for minutes: a trial division up to 10^9, and 3**10000000
+    @pytest.mark.parametrize(
+        "s, ell, message",
+        [(10**18 + 3, 2, "array too large: N*k"), (3, 10**7, "array too large: ell = 10000000")],
+    )
+    def test_huge_size_is_usage_error_within_seconds(self, tmp_path, s, ell, message):
+        out_path = tmp_path / "z.txt"
+        proc = run_child("construct", "half", s, ell, 1, "-o", out_path, timeout=5, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert message.encode() in proc.stderr and b"Traceback" not in proc.stderr
+        assert not out_path.exists()
 
     def test_oversized_array_is_usage_error_before_building(
         self, capsys, tmp_path, monkeypatch

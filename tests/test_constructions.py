@@ -19,6 +19,8 @@ from oracles import (
     ak_ext_even_loop,
     ak_ext_odd_loop,
     ak_half_loop,
+    gamma_set_product,
+    row_coordinates_product,
     tolerance_table,
     unbalance_table,
 )
@@ -64,6 +66,16 @@ class TestGammaSet:
         assert len(seen) == len(g)
 
 
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_grids_equal_the_product_loops(self, s, ell):
+        f = make_field(s)
+        assert gamma_set(f, ell) == gamma_set_product(f, ell)
+        got_want = zip(constructions_mod._row_coordinates(f, ell), row_coordinates_product(f, ell))
+        for got, want in got_want:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestSpecValidation:
     def test_variant_names(self):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -105,6 +117,23 @@ class TestSpecValidation:
         monkeypatch.setattr(constructions_mod, "make_field", refuse)
         with pytest.raises(ValueError, match="N\\*k = 1091043328 cells"):
             ConstructionSpec(s=64, ell=3, kappa=1, variant="half")  # 262144 x 4162
+
+    @pytest.mark.parametrize(
+        "s, ell, message",
+        [
+            (10**18 + 3, 2, "array too large: N\\*k"),  # a prime; trial division takes minutes
+            (6**12, 2, "array too large: N\\*k"),
+            (3, 10**7, "array too large: ell = 10000000"),
+            (3, 27, "array too large: ell = 27"),
+        ],
+    )
+    def test_sizes_are_refused_before_the_prime_power_check(self, monkeypatch, s, ell, message):
+        def refuse(s):
+            raise AssertionError("trial division")
+
+        monkeypatch.setattr(constructions_mod, "is_prime_power", refuse)
+        with pytest.raises(ValueError, match=message):
+            ConstructionSpec(s=s, ell=ell, kappa=1, variant="half")
 
     def test_dispatch_guards(self):
         half = ConstructionSpec(s=3, ell=2, kappa=1, variant="half")

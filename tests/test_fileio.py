@@ -258,6 +258,21 @@ class TestEncodingFormat:
         assert exc.value.line == line
         assert fragment in exc.value.message
 
+    @pytest.mark.parametrize(
+        "text, line, column, fragment",
+        [
+            ("bicyclic 3 3 3\n(1,2,3)|(1,2,3)\n1 2 9\n", 3, 5, "value 9 outside 1..3"),
+            ("semicyclic 3 3 2\n(2,3)|()\n1 2 3\nfixed: 1 1 x\n", 4, 12, "got 'x'"),
+            ("bicyclic 3 3 3\n(1,2,3)|(1,2,3)\n   1 2 x\n", 3, 8, "got 'x'"),
+            ("semicyclic 3 3 2\n(2,3)|()\n1 2 3\nfixed:  1 1 1 1\n", 4, 1, "expected 3 values"),
+        ],
+    )
+    def test_row_errors_are_located_in_their_line(self, text, line, column, fragment):
+        with pytest.raises(ParseError) as exc:
+            parse_encoding(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert fragment in exc.value.message
+
     def test_non_ascii_encoding_is_located(self, tmp_path):
         text = serialize_encoding(compress(Array(np.array(BICYCLIC_FULL), 3), "bicyclic", 3))
         p = tmp_path / "e.enc"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aoakit import galois as galois_mod
 from aoakit.galois import Field, is_prime_power, make_field
 
 from oracles import field_tables_poly
@@ -203,6 +204,14 @@ class TestMakeField:
             Field(1)
         with pytest.raises(ValueError):
             Field(2**17)
+
+    def test_order_limit_is_checked_before_the_trial_division(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("trial division")
+
+        monkeypatch.setattr(galois_mod, "is_prime_power", refuse)
+        with pytest.raises(ValueError, match="order 1000000000000000003 too large"):
+            make_field(10**18 + 3)  # a prime; trial division takes minutes
 
 
 class TestTablesMatchThePolynomialBuild:

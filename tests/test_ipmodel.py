@@ -13,6 +13,7 @@ import aoakit.arrays as arrays_mod
 import aoakit.ipmodel as ipmodel_mod
 from aoakit.arrays import Array, cyclic_oa, is_oa, tolerance, unbalance
 from aoakit.fileio import ParseError
+from aoakit.symmetry import cycle_permutation
 from aoakit.ipmodel import (
     Constraint,
     IpInstance,
@@ -42,6 +43,9 @@ from oracles import (
     canonical_assignment_loop,
     emit_lp_loop,
     emit_mps_loop,
+    _balanced_columns,
+    _prefix_row_map,
+    canonical_head_list,
     evaluate_model_loop,
     exhaustive_optimum_loop,
     model_of,
@@ -99,6 +103,20 @@ class TestCanonicalHead:
             [1, 1], [1, 2], [2, 1], [2, 2],
             [1, 1], [1, 2], [2, 1], [2, 2],
         ]
+
+    @pytest.mark.parametrize("s", range(2, 8))
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_head_and_row_maps_equal_the_list_and_dict_forms(self, s, lam):
+        head, want = canonical_head(s, lam), canonical_head_list(s, lam)
+        assert head.dtype == want.dtype and np.array_equal(head, want)
+        inst, (u, v) = IpInstance(s=s, k=3, lam=lam), head.T - 1
+        swap = ipmodel_mod._head_rows(s, lam, v, u) + 1
+        assert swap.tolist() == _prefix_row_map(inst, lambda u, v: (v, u))
+        for m_bar in range(1, s + 1):
+            g = cycle_permutation(s, tuple(range(m_bar, s + 1)))
+            g0 = np.array(g) - 1
+            sigma = ipmodel_mod._head_rows(s, lam, g0[u], g0[v]) + 1
+            assert sigma.tolist() == _prefix_row_map(inst, lambda u, v: (g[u - 1], g[v - 1]))
 
     def test_arrange_canonical_reorders(self):
         a = cyclic_oa(2)
@@ -334,8 +352,16 @@ class TestExhaustive:
     @pytest.mark.parametrize("s, lam", [(2, 1), (2, 2), (2, 3), (3, 1)])
     def test_balanced_column_count_closed_form(self, s, lam):
         n = lam * s * s
-        listed = len(list(ipmodel_mod._balanced_columns(n, s, lam)))
+        listed = len(list(_balanced_columns(n, s, lam)))
         assert ipmodel_mod._balanced_column_count(n, s, lam) == listed
+
+    # every (s, lam) whose grid has at most 2^16 level vectors
+    @pytest.mark.parametrize("s, lam", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)])
+    def test_balanced_pool_equals_the_recursive_generator(self, s, lam):
+        n = lam * s * s
+        pool = ipmodel_mod._balanced_pool(n, s, lam)
+        assert pool.dtype == np.int64
+        assert list(map(tuple, pool.tolist())) == list(_balanced_columns(n, s, lam))
 
     def test_state_guard_runs_before_enumeration(self):
         # s = 4, lam = 1 has 63 063 000 balanced columns; the guard must

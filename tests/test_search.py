@@ -620,11 +620,6 @@ class TestBruteForce:
     def test_blocks_equal_per_state_loop_on_large_pools(self, n, k, s, p, tol_cap):
         self._assert_same(n, k, s, p, tol_cap)
 
-    def test_sorted_prefixes_come_in_combinations_order(self):
-        for n, r in itertools.product(range(5), range(4)):
-            want = itertools.combinations_with_replacement(range(n), r)
-            assert list(search._sorted_tuples(n, r)) == list(want)
-
     def test_pool_of_column_vectors_is_never_copied(self):
         # 2^16 pool indices: copying them into a tuple peaked at 3.5 MiB
         tracemalloc.start()
