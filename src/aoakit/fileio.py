@@ -4,7 +4,8 @@ Array file (bit-exact): line 1 is ``N k s``; lines 2..N+1 hold k integers in
 1..s separated by single spaces; optional ``# key: value`` metadata lines
 follow the body; LF line endings.  Encoding file: line 1 is
 ``kind s k [param]``, line 2 the generator in ``levels|columns`` cycle
-notation, then core rows, then rows prefixed ``fixed:``.
+notation, then core rows, then rows prefixed ``fixed:``.  Readers take rows
+and array headers as ASCII digit runs between spaces or tabs; CRLF is read.
 
 A catalog is a directory of array files with one JSON sidecar each carrying
 the parameters, provenance, a recomputable metrics snapshot (exact values
@@ -14,6 +15,7 @@ stored as strings), and the seed/config needed to reproduce the array.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -58,29 +60,30 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-def _int_fields(line: str, lineno: int, path: str | None, col: int = 0) -> list[tuple[int, int]]:
-    """(value, 1-based column) per space-separated field; ``line`` starts after column ``col``."""
-    out = []
-    for part in line.split(" "):
-        col += 1
-        if part:
-            try:
-                out.append((int(part), col))
-            except ValueError:
-                raise ParseError(f"expected an integer, got {part!r}", lineno, col, path)
-        col += len(part)
-    return out
+_FIELD = re.compile(r"[^ \t]+")  # the fields of a line: spaces and tabs separate them
+
+
+def _int_fields(line: str, lineno: int, path: str | None, col: int = 0) -> list[int]:
+    """The integers of one line, after column ``col``: runs of ASCII digits; one CR may end it."""
+    line = line.removesuffix("\r")
+    parts = line.replace("\t", " ").split(" ")
+    digits = "".join(parts)
+    if not digits or digits.isascii() and digits.isdigit():
+        return list(map(int, filter(None, parts)))
+    bad = next(m for m in _FIELD.finditer(line) if not (m[0].isascii() and m[0].isdigit()))
+    raise ParseError(f"expected an integer, got {bad[0]!r}", lineno, col + bad.start() + 1, path)
 
 
 def _level_row(line: str, k: int, s: int, lineno: int, path, col: int = 0) -> list[int]:
     """The k levels in 1..s of one row, located like ``_int_fields``."""
-    fields = _int_fields(line, lineno, path, col)
-    if len(fields) != k:
-        raise ParseError(f"expected {k} values, found {len(fields)}", lineno, 1, path)
-    for value, at in fields:
-        if not 1 <= value <= s:
-            raise ParseError(f"value {value} outside 1..{s}", lineno, at, path)
-    return [value for value, _ in fields]
+    values = _int_fields(line, lineno, path, col)
+    if len(values) != k:
+        raise ParseError(f"expected {k} values, found {len(values)}", lineno, 1, path)
+    if values and not 1 <= min(values) <= max(values) <= s:
+        i = next(i for i, value in enumerate(values) if not 1 <= value <= s)
+        at = col + [m.start() for m in _FIELD.finditer(line)][i] + 1
+        raise ParseError(f"value {values[i]} outside 1..{s}", lineno, at, path)
+    return values
 
 
 def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, str]]:
@@ -93,7 +96,7 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
     header = _int_fields(lines[0], 1, path)
     if len(header) != 3:
         raise ParseError("header must be 'N k s'", 1, 1, path)
-    (n, _), (k, _), (s, _) = header
+    n, k, s = header
     if n < 1 or k < 1 or s < 1:
         raise ParseError("N, k, s must be positive", 1, 1, path)
     if len(lines) < 1 + n:
@@ -186,8 +189,7 @@ def parse_encoding(text: str, path: str | None = None) -> SymmetricEncoding:
         if not line.strip():
             continue
         target, body = (fixed, line[len("fixed:") :]) if line.startswith("fixed:") else (core, line)
-        col = len(line) - len(body.lstrip())  # columns before the first value
-        target.append(tuple(_level_row(body.strip(), k, s, lineno, path, col)))
+        target.append(tuple(_level_row(body, k, s, lineno, path, len(line) - len(body))))
     try:
         return SymmetricEncoding(
             kind=kind,

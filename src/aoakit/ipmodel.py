@@ -459,10 +459,10 @@ def evaluate_model(model: IpModel, assignment: dict[str, float]) -> ModelCheck:
     """Objective value and every violated bound or constraint (1e-6 slack).
 
     Bounds and rows are read from the variable table and the CSR rows.  Each
-    row's left-hand side adds its terms from the left, as ``sum`` does, so
-    the values in the messages do not depend on numpy's summation order.  A
-    NaN value is reported as outside its bounds, and a binary variable that
-    is not finite as not integral.
+    row's left-hand side is the built-in ``sum`` of its terms, so the values
+    in the messages follow Python's float summation (compensated from 3.12
+    on) and not numpy's summation order.  A NaN value is reported as outside
+    its bounds, and a binary variable that is not finite as not integral.
     """
     x = np.array([float(assignment.get(name, 0.0)) for name in model.names], dtype=np.float64)
     values, lower, upper = x.tolist(), model.lower.tolist(), model.upper.tolist()
@@ -475,23 +475,13 @@ def evaluate_model(model: IpModel, assignment: dict[str, float]) -> ModelCheck:
             violations.append(f"bound {name}={value} outside [{lower[v]},{upper[v]}]")
         if fractional[v]:
             violations.append(f"binary {name}={value} not integral")
-    terms = model.coefs * x[model.cols]
-    lengths = np.diff(model.indptr)
-    order = np.argsort(-lengths, kind="stable")
-    falling, starts = lengths[order], model.indptr[:-1][order]
-    sums = np.zeros(len(order))
-    # rows with a t-th term are a prefix of the longest-first order
-    lives = np.searchsorted(-falling, -np.arange(falling.max(initial=0)), side="left")
-    for t, live in enumerate(lives.tolist()):
-        sums[:live] += terms[starts[:live] + t]
-    lhs = np.empty_like(sums)
-    lhs[order] = sums
-    rhs, relations = model.rhs, model.relations
+    terms, bounds = (model.coefs * x[model.cols]).tolist(), model.indptr.tolist()
+    sums = [sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    lhs, rhs, relations = np.array(sums, dtype=np.float64), model.rhs, model.relations
     bad = np.choose(relations, (np.abs(lhs - rhs) > 1e-6, lhs > rhs + 1e-6, lhs < rhs - 1e-6))
     for r in np.flatnonzero(bad).tolist():
-        value = lhs[r].item() if lengths[r] else 0  # sum() of no terms is the int 0
         violations.append(f"constraint {model.row_names[r]}: "
-                          f"lhs={value} {_RELATIONS[relations[r]]} {rhs[r].item()}")
+                          f"lhs={sums[r]} {_RELATIONS[relations[r]]} {rhs[r].item()}")
     lin = zip(model.lin_coefs.tolist(), model.lin_vars.tolist())
     quad = zip(model.quad_coefs.tolist(), model.quad_vars.tolist())
     objective = sum(c * values[v] for c, v in lin)

@@ -19,7 +19,8 @@ one member and stage in scan order as index arrays, in blocks whose scoring
 stays within ``arrays._CHUNK_BYTES``, and one offset ``np.bincount`` over the
 expanded cells each move sets gives a block's exact count changes over the
 whole pair-count table.  The first move of a block that no front member
-dominates or equals is the one inserted, as if the moves were scored one
+dominates or equals, and whose changed core rows the encoding can hold
+(``_Encoder.held``), is the one inserted, as if the moves were scored one
 at a time; only that move is expanded.
 
 A ``time_budget`` is checked before every block a scan scores, so a search
@@ -68,6 +69,7 @@ from .symmetry import (
     GroupElement,
     _orbit_gather,
     _powers,
+    _short_orbits,
     bicyclic_generator,
     cycle_permutation,
     identity_element,
@@ -199,14 +201,18 @@ class _Encoder:
         self.high = np.where(before, s, 1)
         self.low = np.where(before, 1, s)
 
+    def held(self, rows: np.ndarray) -> np.ndarray:
+        """Which core rows the encoding can hold: a full orbit, and no quasicyclic all-ones row."""
+        held = ~_short_orbits(self.powers, rows)
+        if self.kind == "quasicyclic":  # the fixed part holds those, also at s = 2 where g = id
+            held &= rows.max(axis=1) > 1
+        return held
+
     def random_cells(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "quasicyclic":
-            # core rows must leave the all-ones fixed rows to the fixed part
-            while True:
-                cells = rng.integers(1, self.s + 1, size=self.core_shape)
-                if np.all(cells.max(axis=1) > 1):
-                    return cells
-        return rng.integers(1, self.s + 1, size=self.core_shape)
+        cells = rng.integers(1, self.s + 1, size=self.core_shape)
+        while not (held := self.held(cells)).all():  # redraw only the rows it cannot hold
+            cells[~held] = rng.integers(1, self.s + 1, size=(int((~held).sum()), cells.shape[1]))
+        return cells
 
     def to_array(self, cells: np.ndarray) -> Array:
         orbits = _orbit_gather(self.powers, cells).reshape(-1, cells.shape[1])
@@ -370,14 +376,15 @@ def _single_search(enc: _Encoder, cfg: SearchConfig, seed: int) -> ParetoFront:
         if idx not in scorers:
             scorers[idx] = _BlockScorer(enc, member.array, cfg.p)
         unb, tol = scorers[idx].objectives(moves)
-        objective = lambda m: ObjectiveVector(int(unb[m]), int(tol[m]))
         bests = np.array(front.objectives(), dtype=np.int64)
         free = ~((bests[:, :1] <= unb) & (bests[:, 1:] <= tol)).any(axis=0)
-        pos = int(free.argmax()) if free.any() else None  # the first undominated move
-        if pos is not None:
+        for pos in np.flatnonzero(free).tolist():  # the first undominated move the encoding holds
             cells = _moved(member.cells, moves[pos])
-            front_insert(front, FrontMember(cells, enc.to_array(cells), objective(pos)))
-        return pos
+            if enc.held(cells[moves[pos, :, 0]]).all():
+                objective = ObjectiveVector(int(unb[pos]), int(tol[pos]))
+                front_insert(front, FrontMember(cells, enc.to_array(cells), objective))
+                return pos
+        return None
 
     while True:
         began = time.perf_counter()

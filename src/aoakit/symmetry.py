@@ -18,13 +18,13 @@ automorphisms:
   expansion deduplicates fixed rows.
 
 Orbits are expanded by one gather over a generator's tabulated powers
-(``_orbit_gather``): ``expand`` and ``compress`` read it orbit-major, the
-local search block-major.
+(``_orbit_gather``): ``expand`` reads it orbit-major, ``compress`` and the
+local search block-major, and ``_short_orbits`` compares its images to tell
+which rows have an orbit of fewer than size distinct rows.
 """
 
 from __future__ import annotations
 
-import collections
 import re
 from dataclasses import dataclass
 
@@ -251,6 +251,12 @@ def _orbit_gather(powers: tuple[np.ndarray, np.ndarray], core: np.ndarray) -> np
     return levels[np.arange(len(levels))[:, None, None], core[:, sources].swapaxes(0, 1)]
 
 
+def _short_orbits(powers: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Whether each row's orbit has fewer than size rows: one of g^1..g^(size-1) fixes it."""
+    images = _orbit_gather(powers, rows)
+    return (images[1:] == images[0]).all(axis=2).any(axis=0)
+
+
 @dataclass(frozen=True)
 class SymmetricEncoding:
     """Orbit-compressed array: representative core rows plus a generator.
@@ -294,12 +300,10 @@ class SymmetricEncoding:
         if not rows:
             raise ValueError("encoding must contain at least one row")
         if self.kind != "klein" and self.core:  # Klein keeps a swap-fixed row once
-            orbits = _orbit_gather(_powers(self.generator), np.array(self.core, dtype=np.int64))
-            for row, orbit in zip(self.core, orbits.swapaxes(0, 1)):
-                if len(np.unique(orbit, axis=0)) < len(orbit):
-                    raise ValueError(
-                        f"orbit of core row {row} has fewer than {len(orbit)} distinct rows"
-                    )
+            short = _short_orbits(_powers(self.generator), np.array(self.core, dtype=np.int64))
+            if short.any():
+                raise ValueError(f"orbit of core row {self.core[short.argmax()]} has fewer than "
+                                 f"{self.orbit_size} distinct rows")
 
     @property
     def orbit_size(self) -> int:
@@ -310,7 +314,7 @@ class SymmetricEncoding:
         return expand(self).n_runs
 
 
-def expand(e: SymmetricEncoding, s: int | None = None, k: int | None = None) -> Array:
+def expand(e: SymmetricEncoding) -> Array:
     """Rebuild the full array: fixed rows once, then each core row's orbit.
 
     Rows come orbit-major (a core row r, then g(r), g^2(r), ..., then the
@@ -318,10 +322,6 @@ def expand(e: SymmetricEncoding, s: int | None = None, k: int | None = None) -> 
     once (deduplicated); everything else contributes its full orbit.  The
     stated generator is an automorphism of the result.
     """
-    if s is not None and s != e.n_levels:
-        raise ValueError("s does not match the encoding")
-    if k is not None and k != e.n_factors:
-        raise ValueError("k does not match the encoding")
     core = np.array(e.core, dtype=np.int64).reshape(-1, e.n_factors)
     orbits = _orbit_gather(_powers(e.generator), core).swapaxes(0, 1)
     keep = np.ones(orbits.shape[:2], dtype=bool)
@@ -334,9 +334,10 @@ def expand(e: SymmetricEncoding, s: int | None = None, k: int | None = None) -> 
 def compress(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding:
     """Inverse of expand: partition the rows of ``a`` into generator orbits.
 
-    Raises if the generator is not an automorphism of ``a`` or if the row
-    multiset does not split into full orbits (plus fixed rows where the kind
-    allows them).
+    Raises if the generator is not an automorphism of ``a`` or if an orbit
+    other than a Klein swap-fixed row has fewer than size distinct rows.  Once
+    g permutes the rows, counts are constant on every orbit (named by its
+    least image), so a multiplicity is its row count over its distinct rows.
     """
     s, k = a.n_levels, a.n_factors
     if param is None and kind == "bicyclic":
@@ -344,37 +345,28 @@ def compress(a: Array, kind: str, param: int | None = None) -> SymmetricEncoding
     elif param is None and kind == "semicyclic":
         param = 2
     g = _kind_generator(kind, s, k, param)
-    if not is_automorphism(g, a):
-        raise ValueError(f"the {kind} generator is not an automorphism of the array")
-
-    counts = collections.Counter(map(tuple, a.cells.tolist()))
-    fixed: list[tuple[int, ...]] = []
-    if kind == "semicyclic":
-        for row in sorted(r for r in counts if max(r) < param):
-            fixed.extend([row] * counts.pop(row))
-
     powers = _powers(g)
-    core: list[tuple[int, ...]] = []
-    while counts:
-        rep = min(counts)
-        images = list(map(tuple, _orbit_gather(powers, np.array([rep]))[:, 0].tolist()))
-        orbit = list(dict.fromkeys(images))  # a Klein row the swap fixes is its own orbit
-        if kind != "klein" and len(orbit) != len(images):
-            raise ValueError(f"orbit of {rep} has fewer than {len(images)} distinct rows")
-        multiplicity = min(counts.get(r, 0) for r in orbit)
-        if multiplicity == 0:
-            raise ValueError(f"rows do not split into full {kind} orbits")
-        core.extend([rep] * multiplicity)
-        for r in orbit:
-            counts[r] -= multiplicity
-            if not counts[r]:
-                del counts[r]
+    size = len(powers[0])
+    is_fixed = a.cells.max(axis=1) < param if kind == "semicyclic" else np.zeros(a.n_runs, bool)
+    fixed = a.cells[is_fixed]  # g fixes these rows, so it permutes the others among themselves
+    images = _orbit_gather(powers, a.cells[~is_fixed])
+    distinct, codes = np.unique(images.reshape(-1, k), axis=0, return_inverse=True)
+    codes = codes.reshape(size, -1)
+    if not np.array_equal(np.sort(codes[1 % size]), np.sort(codes[0])):
+        raise ValueError(f"the {kind} generator is not an automorphism of the array")
+    names, counts = np.unique(codes.min(axis=0), return_counts=True)
+    reps = distinct[names]
+    short = _short_orbits(powers, reps)
+    if kind != "klein" and short.any():
+        rep = tuple(reps[short.argmax()].tolist())
+        raise ValueError(f"orbit of {rep} has fewer than {size} distinct rows")
+    core = np.repeat(reps, counts // np.where(short, 1, size), axis=0)  # short Klein orbit: 1 row
     return SymmetricEncoding(
         kind=kind,
         n_levels=s,
         n_factors=k,
         generator=g,
-        core=tuple(sorted(core)),
-        fixed_rows=tuple(fixed),
+        core=tuple(map(tuple, core.tolist())),
+        fixed_rows=tuple(map(tuple, fixed[np.lexsort(fixed.T[::-1])].tolist())),
         param=None if kind == "klein" else param,
     )

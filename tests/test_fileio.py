@@ -289,6 +289,37 @@ class TestEncodingFormat:
             parse_encoding(good + "fixed: 1 1 1 1 1\n")
 
 
+class TestFieldSeparators:
+    """Array and encoding rows follow one rule: runs of ASCII digits separated
+    by spaces and tabs, with one CR allowed before the LF."""
+
+    @staticmethod
+    def _parse_last_row(fmt, row, newline="\n"):
+        if fmt == "array":
+            text = f"2 2 10\n2 1\n{row}\n"
+            return parse_array(text.replace("\n", newline))[0].cells[-1].tolist()
+        text = f"bicyclic 10 2 1\n(1,2,3,4,5,6,7,8,9,10)|id\n{row}\n"
+        return list(parse_encoding(text.replace("\n", newline)).core[-1])
+
+    @pytest.mark.parametrize("fmt", ["array", "encoding"])
+    @pytest.mark.parametrize("row", ["1 2\t", "1\t 2", "1 2 \t", "1\t2"])
+    def test_spaces_and_tabs_separate_fields(self, fmt, row):
+        assert self._parse_last_row(fmt, row) == [1, 2]
+
+    @pytest.mark.parametrize("fmt", ["array", "encoding"])
+    def test_crlf_files_load(self, fmt):
+        assert self._parse_last_row(fmt, "1 2", newline="\r\n") == [1, 2]
+
+    @pytest.mark.parametrize("fmt", ["array", "encoding"])
+    @pytest.mark.parametrize("field", ["+1", "1_0", "-1", "1\r"])
+    def test_a_field_is_a_run_of_ascii_digits(self, fmt, field):
+        # 1_0 would read as 10, inside 1..s here
+        with pytest.raises(ParseError) as exc:
+            self._parse_last_row(fmt, f"1 {field} 2")
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        assert exc.value.message == f"expected an integer, got {field!r}"
+
+
 class TestFormatExact:
     def test_scalar_forms(self):
         assert format_exact(4) == "4"

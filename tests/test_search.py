@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
 import logging
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from aoakit.search import (
     local_pareto_search,
     neighborhood_scan,
 )
-from aoakit.symmetry import bicyclic_generator, is_automorphism
+from aoakit.symmetry import bicyclic_generator, compress, equivalent, expand, is_automorphism
 
 from oracles import (
     EncoderLoop,
@@ -382,6 +386,38 @@ class TestEncodings:
             assert ones >= 1  # lambda all-ones fixed rows
             assert arr.n_runs == 9
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_bicyclic_members_with_r_equal_to_k_compress_back(self, n):
+        # at r = k = s = 2 the generator fixes the core rows (1, 2) and (2, 1),
+        # whose expansions repeat rows that compress refuses
+        for seed in range(10):
+            front = local_pareto_search(n, 2, 2, SearchConfig(encoding="bicyclic", seed=seed))
+            for m in front.members:
+                assert equivalent(expand(compress(m.array, "bicyclic")), m.array)
+
+    def test_bicyclic_start_with_many_short_orbit_candidates_finishes(self):
+        # each of the 32 core rows draws a short orbit with probability 1/2,
+        # so redrawing the whole core until every row is held takes ~2^32 draws
+        code = ("from aoakit.search import SearchConfig, local_pareto_search\n"
+                "local_pareto_search(64, 2, 2, SearchConfig(encoding='bicyclic'))")
+        paths = [str(Path(search.__file__).resolve().parents[1])]
+        paths += os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (8, 3), (12, 4)])
+    def test_quasicyclic_at_two_levels_holds_no_all_ones_core_row(self, n, k):
+        # g is the identity at s = 2, so no orbit is short, yet the all-ones
+        # rows belong to the fixed part
+        enc = search._Encoder("quasicyclic", n, k, 2, None)
+        rng = np.random.default_rng(n * k)
+        for _ in range(20):
+            assert (enc.random_cells(rng).max(axis=1) > 1).all()
+        for seed in range(5):
+            front = local_pareto_search(n, k, 2, SearchConfig(encoding="quasicyclic", seed=seed))
+            for m in front.members:
+                assert (m.cells.max(axis=1) > 1).all()
+
     def test_bicyclic_r_override(self):
         cfg = SearchConfig(p=2, seed=0, encoding="bicyclic", bicyclic_r=1)
         front = local_pareto_search(4, 3, 2, cfg)
@@ -482,7 +518,8 @@ class TestBlockScorer:
 
     @pytest.mark.parametrize("n, k, s", [(8, 2, 2), (16, 4, 4), (16, 2, 4)])
     def test_short_orbit_bicyclic_blocks_equal_the_oracle(self, n, k, s):
-        # r = k: a generator power can fix a core row, so expanded rows repeat
+        # r = k: a move can give a core row an orbit that a generator power
+        # fixes, so expanded rows repeat
         enc = search._Encoder("bicyclic", n, k, s, k)
         for seed, radius, p in itertools.product(range(3), (1, 2), (1, 2)):
             cells = enc.random_cells(np.random.default_rng(seed))

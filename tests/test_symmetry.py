@@ -433,6 +433,31 @@ def encodings(draw):
     )
 
 
+class TestShortOrbits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_to_the_count_of_distinct_orbit_rows(self, data):
+        from aoakit.symmetry import _powers, _short_orbits
+
+        kind = data.draw(st.sampled_from(["bicyclic", "semicyclic", "klein"]))
+        s, k = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6))
+        if kind == "bicyclic":
+            r = data.draw(st.sampled_from([r for r in range(1, s + 1) if s % r == 0 and r <= k]))
+            gen, size = bicyclic_generator(s, k, r), s
+        elif kind == "semicyclic":
+            s = max(s, 3)
+            a = data.draw(st.integers(2, s - 1))
+            gen, size = semicyclic_generator(s, k, a), s - a + 1
+        else:
+            k = max(k, 4)
+            gen, size = klein_generator(s, k), 2
+        row = st.lists(st.integers(1, s), min_size=k, max_size=k).map(tuple)
+        rows = data.draw(st.lists(row, max_size=8))
+        got = _short_orbits(_powers(gen), np.array(rows, dtype=np.int64).reshape(-1, k))
+        assert got.dtype == bool
+        assert got.tolist() == [len(set(_orbit(gen, r, size))) < size for r in rows]
+
+
 class TestOrbitGather:
     """expand, compress and the orbit counts equal the per-row loops they replaced."""
 
