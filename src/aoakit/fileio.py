@@ -2,10 +2,13 @@
 
 Array file (bit-exact): line 1 is ``N k s``; lines 2..N+1 hold k integers in
 1..s separated by single spaces; optional ``# key: value`` metadata lines
-follow the body; LF line endings.  Encoding file: line 1 is
-``kind s k [param]``, line 2 the generator in ``levels|columns`` cycle
-notation, then core rows, then rows prefixed ``fixed:``.  Readers take rows
-and array headers as ASCII digit runs between spaces or tabs; CRLF is read.
+with distinct, non-empty keys follow the body; LF line endings.  Encoding
+file: line 1 is ``kind s k [param]``, line 2 the generator in
+``levels|columns`` cycle notation, then core rows, then rows prefixed
+``fixed:``.  Readers take rows and the numbers of both headers as ASCII digit
+runs between spaces or tabs; CRLF is read.  An array body is read in
+whole-buffer passes; text those refuse is read again one row at a time, which
+locates the error.
 
 A catalog is a directory of array files with one JSON sidecar each carrying
 the parameters, provenance, a recomputable metrics snapshot (exact values
@@ -86,6 +89,56 @@ def _level_row(line: str, k: int, s: int, lineno: int, path, col: int = 0) -> li
     return values
 
 
+# byte kinds in an array body: 2 an ASCII digit, 1 a separator (space, tab, LF), 0 any other
+_BYTE_KIND = np.zeros(256, np.uint8)
+_BYTE_KIND[[9, 10, 32]] = 1
+_BYTE_KIND[48:58] = 2
+
+
+def _body_cells(rows: list[str], k: int, s: int) -> np.ndarray | None:
+    """The levels of the body ``rows`` read in whole-buffer passes, by ``_level_row``'s rules.
+
+    Returns None for any text ``_level_row`` refuses, and for the valid forms
+    declined here (a field of more than 18 digits), so the caller reads those
+    rows one at a time.  Every temporary is sized by the text, not the header.
+    """
+    n = len(rows)
+    try:
+        # an LF before each row and after the last
+        body = "\n".join(["", *rows, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")  # one CR may end a row; any other is refused below
+    buf = np.frombuffer(body, np.uint8)
+    kind = _BYTE_KIND[buf]
+    if kind.min() == 0:
+        return None
+    digit = np.equal(kind, 2, out=kind.view(np.bool_))  # in place: the kinds are not read again
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    starts += 1
+    if len(starts) != n * k:
+        return None
+    fields_before_lf = np.searchsorted(starts, np.flatnonzero(buf == 10))
+    if not np.array_equal(fields_before_lf, np.arange(0, n * k + 1, k)):  # k fields a row
+        return None
+    if np.count_nonzero(digit) == len(starts):  # every field is one digit
+        values = buf[starts] - 48
+    else:
+        ends = np.flatnonzero(digit[:-1] > digit[1:])  # the last digit of each field
+        width = ends - starts + 1
+        widest = int(width.max())
+        if widest > 18:  # 19 digits can pass int64
+            return None
+        values = np.zeros(len(starts), np.int64)
+        for place in range(widest):
+            digits = np.where(width > place, buf[ends - place] - 48, 0)
+            values += digits * np.int64(10**place)
+    if int(values.min()) < 1 or int(values.max()) > s:
+        return None
+    return values.reshape(n, k)
+
+
 def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, str]]:
     """Parse an array file; returns the array and its metadata mapping."""
     lines = text.split("\n")
@@ -101,7 +154,10 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
         raise ParseError("N, k, s must be positive", 1, 1, path)
     if len(lines) < 1 + n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", len(lines), 1, path)
-    rows = [_level_row(lines[lineno - 1], k, s, lineno, path) for lineno in range(2, 2 + n)]
+    cells = _body_cells(lines[1 : 1 + n], k, s)
+    if cells is None:  # locate the error, or read the rows the whole-buffer pass declines
+        rows = [_level_row(lines[lineno - 1], k, s, lineno, path) for lineno in range(2, 2 + n)]
+        cells = np.array(rows, dtype=np.int64)
     metadata: dict[str, str] = {}
     for offset, line in enumerate(lines[1 + n :], start=2 + n):
         if not line.strip():
@@ -112,8 +168,13 @@ def parse_array(text: str, path: str | None = None) -> tuple[Array, dict[str, st
         if ":" not in body:
             raise ParseError("metadata line lacks 'key: value'", offset, 1, path)
         key, value = body.split(":", 1)
-        metadata[key.strip()] = value.strip()
-    return Array(np.array(rows, dtype=np.int64), s), metadata
+        key = key.strip()
+        if not key:
+            raise ParseError("metadata key is empty", offset, 1, path)
+        if key in metadata:
+            raise ParseError(f"metadata key {key!r} is repeated", offset, 1, path)
+        metadata[key] = value.strip()
+    return Array(cells, s), metadata
 
 
 def _check_metadata(metadata: dict[str, str]) -> None:
@@ -134,12 +195,18 @@ def _check_metadata(metadata: dict[str, str]) -> None:
 def serialize_array(a: Array, metadata: dict[str, str] | None = None) -> str:
     metadata = metadata or {}
     _check_metadata(metadata)
-    names = [str(v) for v in range(a.n_levels + 1)]
-    lines = [f"{a.n_runs} {a.n_factors} {a.n_levels}"]
-    lines.extend(" ".join([names[v] for v in row]) for row in a.cells.tolist())
-    for key, value in metadata.items():
-        lines.append(f"# {key}: {value}")
-    return "\n".join(lines) + "\n"
+    # the text of each level present, ending a cell inside a row or at its end, gathered
+    # per cell; the levels come from a sort, which costs less than np.unique's hash table
+    flat = np.sort(a.cells, axis=None)
+    levels = flat[np.append(flat[1:] != flat[:-1], True)]
+    del flat  # N*k int64, freed before the index of the same size is made
+    names = [str(v) for v in levels.tolist()]
+    table = np.array([name + " " for name in names] + [name + "\n" for name in names], dtype="S")
+    index = np.searchsorted(levels, a.cells)
+    index[:, -1] += len(levels)
+    body = table[index].tobytes().replace(b"\0", b"").decode("ascii")
+    meta = "".join(f"# {key}: {value}\n" for key, value in metadata.items())
+    return f"{a.n_runs} {a.n_factors} {a.n_levels}\n{body}{meta}"
 
 
 def _read_ascii(path) -> str:
@@ -170,15 +237,12 @@ def parse_encoding(text: str, path: str | None = None) -> SymmetricEncoding:
         lines.pop()
     if len(lines) < 3:
         raise ParseError("encoding needs a header, a generator, and rows", 1, 1, path)
-    head = lines[0].split()
-    if len(head) not in (3, 4):
+    kind = _FIELD.search(lines[0])  # the first field; s, k and param follow it
+    numbers = _int_fields(lines[0][kind.end() :], 1, path, kind.end()) if kind else []
+    if len(numbers) not in (2, 3):
         raise ParseError("header must be 'kind s k [param]'", 1, 1, path)
-    kind = head[0]
-    try:
-        s, k = int(head[1]), int(head[2])
-        param = int(head[3]) if len(head) == 4 else None
-    except ValueError:
-        raise ParseError("s, k and param must be integers", 1, 1, path)
+    s, k, *rest = numbers
+    param = rest[0] if rest else None
     try:
         generator = parse_generator(lines[1], s, k)
     except ValueError as exc:
@@ -192,7 +256,7 @@ def parse_encoding(text: str, path: str | None = None) -> SymmetricEncoding:
         target.append(tuple(_level_row(body, k, s, lineno, path, len(line) - len(body))))
     try:
         return SymmetricEncoding(
-            kind=kind,
+            kind=kind[0],
             n_levels=s,
             n_factors=k,
             generator=generator,

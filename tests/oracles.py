@@ -50,7 +50,9 @@ GF(p) and a loop over every cell of the tables), kept verbatim as the
 reference for the vectorised tables and moduli, and the earlier one-column-at-
 a-time constructions (``ak_half_loop``, ``ak_ext_odd_loop`` and
 ``ak_ext_even_loop``, with ``_gamma_dot`` and ``_linear_block``), kept
-verbatim as the reference for the whole-block table lookups.
+verbatim as the reference for the whole-block table lookups, and the earlier
+per-line ``parse_array_loop`` (every body row through ``fileio._level_row``),
+kept verbatim as the reference for the whole-buffer array reader.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from aoakit.arrays import (
 )
 from aoakit.constructions import ConstructionSpec, GammaSet, _row_coordinates, gamma_set
 from aoakit.galois import Field, is_prime_power, make_field
+from aoakit.fileio import ParseError, _int_fields, _level_row
 from aoakit.ipmodel import (
     Constraint,
     ExhaustiveResult,
@@ -310,6 +313,36 @@ def serialize_array_loop(a: Array, metadata: dict[str, str] | None = None) -> st
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"
+
+
+def parse_array_loop(text: str, path: str | None = None) -> tuple[Array, dict[str, str]]:
+    """Parse an array file row by row (the earlier reader)."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file", 1, 1, path)
+    header = _int_fields(lines[0], 1, path)
+    if len(header) != 3:
+        raise ParseError("header must be 'N k s'", 1, 1, path)
+    n, k, s = header
+    if n < 1 or k < 1 or s < 1:
+        raise ParseError("N, k, s must be positive", 1, 1, path)
+    if len(lines) < 1 + n:
+        raise ParseError(f"expected {n} rows, found {len(lines) - 1}", len(lines), 1, path)
+    rows = [_level_row(lines[lineno - 1], k, s, lineno, path) for lineno in range(2, 2 + n)]
+    metadata: dict[str, str] = {}
+    for offset, line in enumerate(lines[1 + n :], start=2 + n):
+        if not line.strip():
+            continue
+        if not line.startswith("#"):
+            raise ParseError("trailing lines must be '# key: value' metadata", offset, 1, path)
+        body = line[1:].strip()
+        if ":" not in body:
+            raise ParseError("metadata line lacks 'key: value'", offset, 1, path)
+        key, value = body.split(":", 1)
+        metadata[key.strip()] = value.strip()
+    return Array(np.array(rows, dtype=np.int64), s), metadata
 
 
 def dd_sq_slow(a: Array, pa, pb):

@@ -1,6 +1,7 @@
 """Tests for the plain-text formats and the JSON-sidecar catalog."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +27,11 @@ from aoakit import (
 )
 from aoakit.arrays import Array
 from aoakit.constructions import ConstructionSpec, construct
-from aoakit.fileio import CatalogEntry, format_exact, metrics_snapshot
+from aoakit.fileio import CatalogEntry, _body_cells, format_exact, metrics_snapshot
 from aoakit.symmetry import SymmetricEncoding, compress, semicyclic_generator
 
 from conftest import random_array
-from oracles import serialize_array_loop
+from oracles import parse_array_loop, serialize_array_loop
 from test_symmetry import BICYCLIC_FULL, KLEIN_FULL, QUASI_FULL
 
 
@@ -58,14 +59,78 @@ _META_KEYS = _META_VALUES.filter(lambda v: v and ":" not in v)
 
 @st.composite
 def wide_level_arrays(draw):
-    """Arrays with two-digit levels, plus metadata that reads back unchanged."""
-    s = draw(st.integers(10, 40))
+    """Arrays with one- and two-digit levels, plus metadata that reads back unchanged."""
+    s = draw(st.integers(1, 40))
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     cells = np.random.default_rng(seed).integers(1, s + 1, size=(n, k))
     metadata = draw(st.dictionaries(_META_KEYS, _META_VALUES, max_size=3))
     return Array(cells, n_levels=s), metadata
+
+
+# fields the reader refuses: a letter, a sign, an underscore, a CR inside a line
+# and a non-ASCII character
+_BAD_FIELDS = ("x", "+1", "-1", "1_0", "1\r2", "1\r", "\u00e9")
+_FAULTS = _BAD_FIELDS + ("zero", "above-s", "short-row", "long-row", "moved-field",
+                         "missing-row", "huge-n", "huge-k")
+
+
+@st.composite
+def array_file_texts(draw):
+    """Array file texts in the layouts the reader accepts, with at most one fault.
+
+    Returns the text and whether the whole-buffer pass must read its body:
+    true without a fault and without fields of more than 18 digits.
+    """
+    s = draw(st.one_of(st.integers(1, 40), st.integers(41, 10**12)))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    loose = draw(st.booleans())  # runs of spaces and tabs around fields, and CRLF
+    zeros = draw(st.sampled_from([0, 1, 5, 20]))  # leading zeros on some fields
+    fault = draw(st.one_of(st.just("none"), st.sampled_from(_FAULTS)))  # half the texts are valid
+    n_meta = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    rows = [["0" * zeros * (rng.random() < 0.3) + str(v) for v in rng.integers(1, s + 1, k)]
+            for _ in range(n)]
+    header = [n, k, s]
+    r, j = int(rng.integers(n)), int(rng.integers(k))
+    if fault in _BAD_FIELDS:
+        rows[r][j] = fault
+    elif fault in ("zero", "above-s"):
+        rows[r][j] = "0" if fault == "zero" else str(s + 1)
+    elif fault == "short-row":
+        del rows[r][j]
+    elif fault == "long-row":
+        rows[r].insert(j, "1")
+    elif fault == "moved-field":  # one row short and another long
+        rows[(r + 1) % n].append(rows[r].pop(j))
+    elif fault == "missing-row":
+        del rows[r]
+    elif fault in ("huge-n", "huge-k"):
+        header[fault == "huge-k"] = 10**13
+
+    def gap(least: int) -> str:
+        if not loose:
+            return " " * least
+        return "".join(rng.choice([" ", "\t"], int(rng.integers(least, 4))))
+
+    lines = [" ".join(map(str, header))]
+    lines += [gap(0) + "".join(f + gap(1) for f in row[:-1]) + "".join(row[-1:]) + gap(0)
+              for row in rows]
+    lines += [f"# key{i}: value {i}" for i in range(n_meta)]
+    newline = "\r\n" if loose else "\n"
+    return newline.join(lines) + newline, fault == "none" and zeros < 18
+
+
+def _outcome(parse, text):
+    """What a reader makes of the text: the array and metadata, or the error and its place."""
+    try:
+        a, metadata = parse(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.column
+    return a.n_levels, a.cells.tolist(), metadata
 
 
 class TestArrayFormat:
@@ -98,6 +163,30 @@ class TestArrayFormat:
         text = serialize_array(a, metadata)
         assert text == serialize_array_loop(a, metadata)
         assert parse_array(text) == (a, metadata)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(array_file_texts())
+    def test_parse_equals_the_per_line_reader(self, case):
+        text, whole_buffer = case
+        assert _outcome(parse_array, text) == _outcome(parse_array_loop, text)
+        if whole_buffer:
+            lines = text.split("\n")
+            n, k, s = map(int, lines[0].split())
+            assert _body_cells(lines[1 : 1 + n], k, s) is not None
+
+    def test_writer_cost_follows_the_cells_not_s(self):
+        # the memory bound comes first, so a writer that is O(s) fails it before s = 2**70
+        a = Array(np.ones((1, 1)), 10**6)
+        tracemalloc.start()
+        try:
+            text = serialize_array(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "1 1 1000000\n1\n" and peak < 2**20
+        text = f"1 1 {2**70}\n1\n"
+        back, _ = parse_array(text)
+        assert back.n_levels == 2**70 and serialize_array(back) == text
 
     @pytest.mark.parametrize(
         "metadata, fragment",
@@ -155,6 +244,8 @@ class TestArrayFormat:
             ("1 2 2\n0 2\n", 2, 1, "outside 1..2"),
             ("1 2 2\n1 2\njunk\n", 3, 1, "metadata"),
             ("1 2 2\n1 2\n# justaword\n", 3, 1, "key: value"),
+            ("1 2 2\n1 2\n# a: 1\n# a: 2\n", 4, 1, "metadata key 'a' is repeated"),
+            ("1 2 2\n1 2\n#: v\n", 3, 1, "metadata key is empty"),
         ],
     )
     def test_parse_errors_carry_position(self, text, line, column, fragment):
@@ -246,7 +337,7 @@ class TestEncodingFormat:
         [
             ("bicyclic 3 4\n(1,2,3)|(1,2,3)\n", 1, "header, a generator, and rows"),
             ("bicyclic 3\ngen\nrow\n", 1, "kind s k"),
-            ("bicyclic a 4 3\n(1)|(1)\n1 1 1 1\n", 1, "integers"),
+            ("bicyclic a 4 3\n(1)|(1)\n1 1 1 1\n", 1, "integer, got 'a'"),
             ("bicyclic 3 4 3\nnot-a-generator\n1 1 1 1\n", 2, ""),
             ("bicyclic 3 4 3\n(1,2,3)|(1,2,3)\n1 1 1\n", 3, "expected 4 values"),
             ("bicyclic 2 2 2\n(1,2)|(1,2)\n1 1\n1 2\n", 1, "orbit of core row (1, 2) has fewer"),
@@ -257,6 +348,16 @@ class TestEncodingFormat:
             parse_encoding(text)
         assert exc.value.line == line
         assert fragment in exc.value.message
+
+    @pytest.mark.parametrize("field", ["+3", "1_0", "-1"])
+    @pytest.mark.parametrize("at", ["s", "k", "param"])
+    def test_header_numbers_are_runs_of_ascii_digits(self, field, at):
+        numbers = {"s": "3", "k": "3", "param": "3"} | {at: field}
+        text = f"bicyclic {' '.join(numbers.values())}\n(1,2,3)|(1,2,3)\n1 2 3\n"
+        with pytest.raises(ParseError) as exc:
+            parse_encoding(text)
+        assert (exc.value.line, exc.value.column) == (1, text.index(field) + 1)
+        assert exc.value.message == f"expected an integer, got {field!r}"
 
     @pytest.mark.parametrize(
         "text, line, column, fragment",
