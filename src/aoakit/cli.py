@@ -235,6 +235,8 @@ def _cmd_ip_verify(args) -> int:
     print(f"bounds = {'pass' if report.bounds_ok else 'FAIL'}")
     print(f"z_linking = {'pass' if report.z_ok else 'FAIL'}")
     print(f"deltas = {'pass' if report.deltas_match else 'FAIL'}")
+    if inst.symmetry is not None:
+        print(f"symmetry = {'pass' if report.symmetry_ok else 'FAIL'}")
     if not report.ok:
         raise _VerifyFailure("solution verification failed")
     return EXIT_OK
@@ -321,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lam", type=int, default=1)
     p.add_argument("--p", type=int, default=1, choices=(1, 2))
     p.add_argument("--eps", type=int, default=1)
-    p.add_argument("--sym", default=None)
+    p.add_argument("--sym", default=None, help="semicyclic:M, klein, or both:M; checks the ties")
     p.add_argument("-o", "--out", default=None, help="array file to write")
     p.set_defaults(func=_cmd_ip_verify)
 

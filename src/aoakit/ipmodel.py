@@ -34,9 +34,11 @@ An ``IpModel`` is arrays over one variable table: ``build_model`` and
 ``emit_mps`` write the text straight from them, and ``parse_lp`` fills them.
 Emission is a deterministic CPLEX-LP subset (Minimize / Subject To / Bounds /
 Generals / Binaries / End, ASCII, LF, lines well under 255 characters) that
-round-trips byte-identically through ``parse_lp``; MPS is a secondary format.
-A solver is never embedded: ``solve_with_command`` shells out to a
-user-supplied command and reads a plain ``name value`` solution file.
+round-trips byte-identically through ``parse_lp``, each row wrapped by one
+greedy loop (``_wrap``); MPS is a secondary format.  A solver is never
+embedded: ``solve_with_command`` shells out to a user-supplied command and
+reads a plain ``name value`` solution file (each name once).
+``verify_solution`` also checks the ties of a declared symmetry.
 
 The variable table is written out once, by ``_layout``: the names, kinds
 and bounds, and the table index of every block (x, z, d0..d3 and, for p = 1,
@@ -502,10 +504,12 @@ class VerificationReport:
     bounds_ok: bool
     z_ok: bool
     deltas_match: bool
+    symmetry_ok: bool = True  # the ties of ``add_symmetry``; true when none is declared
 
     @property
     def ok(self) -> bool:
-        return self.identity_ok and self.bounds_ok and self.z_ok and self.deltas_match
+        return (self.identity_ok and self.bounds_ok and self.z_ok and self.deltas_match
+                and self.symmetry_ok)
 
 
 def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> VerificationReport:
@@ -513,6 +517,7 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
 
     Only the x variables are mandatory; z and delta values, when present, are
     compared against the reconstruction.  A value that is not finite is refused.
+    A declared symmetry's tie rows (``add_symmetry``) are checked on the reconstruction.
     """
     s, n, layout = inst.s, inst.n_runs, _layout(inst)
     names = layout.names[: layout.deviation[-1] + 1]  # x, z and the deviations
@@ -537,6 +542,13 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
     deltas_match = bool(np.all((np.round(given[dev]) == deltas) | ~present[dev]))
     bounds_ok = bool(np.all((layout.lower[dev] <= deltas) & (deltas <= layout.upper[dev])))
     z_ok = bool(np.all(((np.round(given[z]) == 1) == (expected[z] == 1)) | ~present[z]))
+    symmetry_ok = True
+    if inst.symmetry is not None:
+        ties = IpModel()
+        ties.names = layout.names
+        add_symmetry(ties, inst)  # equality rows only
+        sums = np.cumsum(np.append(0, ties.coefs * expected[ties.cols]))
+        symmetry_ok = bool(np.all(sums[ties.indptr[1:]] - sums[ties.indptr[:-1]] == ties.rhs))
 
     p = inst.p
     objective = int((np.abs(deltas) ** p).sum())
@@ -553,6 +565,7 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
         bounds_ok=bounds_ok,
         z_ok=z_ok,
         deltas_match=deltas_match,
+        symmetry_ok=symmetry_ok,
     )
 
 
@@ -627,63 +640,48 @@ def _term_tokens(coefs: np.ndarray, names: np.ndarray, first: np.ndarray) -> np.
     return np.where(first, lead[inverse], rest[inverse]) + names
 
 
-def _wrap_rows(heads: list[str], tokens: np.ndarray, indptr: np.ndarray) -> str:
-    """Every row's lines: its head, then tokens ``indptr[r]:indptr[r+1]`` wrapped greedily
-    at ``_LP_WIDTH``, continuation lines indented by three spaces.
-
-    With ``cum`` the running sum of token length + 1, a line of tokens a..b-1
-    is ``cum[b] - cum[a]`` long plus the head's length after a head, plus 2 on
-    a continuation line, minus 1 after an empty head (whose tokens start its line).
-    """
-    count, start, end = len(tokens), indptr[:-1], indptr[1:]
-    cum = np.append(0, np.cumsum(np.fromiter(map(len, tokens), np.int64, count) + 1))
-    lead = np.array([len(h) or -1 for h in heads], np.int64)
-    first = np.clip(np.searchsorted(cum, cum[start] + _LP_WIDTH - lead, "right") - 1,
-                    start + (lead < 0), end)
-    following = np.clip(np.searchsorted(cum, cum[:-1] + _LP_WIDTH - 2, "right") - 1,
-                        np.arange(1, count + 1), np.repeat(end, end - start))
-    breaks, following = [], following.tolist()
-    for b, e in zip(first.tolist(), end.tolist()):
-        while b < e:
-            breaks.append(b)
-            b = following[b]
-    sep = np.full(count, " ", dtype=object)
-    sep[breaks] = "\n   "
-    sep[start[(lead < 0) & (end > start)]] = ""
-    return "".join(np.insert(sep + tokens, start, ["\n" + h for h in heads]).tolist())[1:]
+def _wrap(head: str, tokens: list[str], out: list[str]) -> None:
+    """Append ``head`` and ``tokens`` to ``out`` as lines broken greedily at ``_LP_WIDTH``:
+    continuation lines are indented by three spaces, and an empty head's tokens start its line."""
+    line = head
+    for token in tokens:
+        if line and len(line) + 1 + len(token) > _LP_WIDTH:
+            out.append(line)
+            line = "   " + token
+        else:
+            line = f"{line} {token}" if line else token
+    out.append(line)
 
 
 def emit_lp(model: IpModel) -> str:
     """Deterministic CPLEX-LP text for the model."""
     names = np.array(model.names, dtype=object)
     lin, quad = len(model.lin_vars), len(model.quad_vars)
-    tokens = list(_term_tokens(model.lin_coefs, names[model.lin_vars], np.arange(lin) == 0))
+    tokens = _term_tokens(model.lin_coefs, names[model.lin_vars], np.arange(lin) == 0).tolist()
     if quad:
-        qt = list(_term_tokens(2 * model.quad_coefs, names[model.quad_vars] + " ^2",
-                               np.arange(quad) == (-1 if tokens else 0)))
+        qt = _term_tokens(2 * model.quad_coefs, names[model.quad_vars] + " ^2",
+                          np.arange(quad) == (-1 if tokens else 0)).tolist()
         qt[0] = f"[ {qt[0]}" if not tokens else f"+ [ {qt[0].lstrip('+ ')}"
         qt[-1] += " ] / 2"
         tokens += qt
-    out = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize",
-           _wrap_rows([" obj:"], np.array(tokens, dtype=object), np.array([0, len(tokens)])),
-           "Subject To"]
-    if model.row_names:
-        first = np.zeros(len(model.cols), bool)
-        first[model.indptr[:-1][np.diff(model.indptr) > 0]] = True
-        # each row's term tokens, then its relation and right-hand side
-        tails = np.column_stack([np.array(_RELATIONS, object)[model.relations],
-                                 np.array(list(map(str, model.rhs.tolist())), object)])
-        stream = np.insert(_term_tokens(model.coefs, names[model.cols], first),
-                           np.repeat(model.indptr[1:], 2), tails.ravel())
-        heads = [f" {name}:" for name in model.row_names]
-        out.append(_wrap_rows(heads, stream, model.indptr + 2 * np.arange(len(heads) + 1)))
+    out = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize"]
+    _wrap(" obj:", tokens, out)
+    out.append("Subject To")
+    first = np.zeros(len(model.cols), bool)
+    first[model.indptr[:-1][np.diff(model.indptr) > 0]] = True
+    terms = _term_tokens(model.coefs, names[model.cols], first).tolist()
+    bounds = model.indptr.tolist()
+    rows = zip(model.row_names, bounds, bounds[1:], model.relations.tolist(), model.rhs.tolist())
+    for name, a, b, r, rhs in rows:
+        _wrap(f" {name}:", terms[a:b] + [_RELATIONS[r], str(rhs)], out)
     out.append("Bounds")
     general = model.kinds == 1
     out += [f" {lo} <= {name} <= {hi}" for name, lo, hi in zip(
         names[general].tolist(), model.lower[general].tolist(), model.upper[general].tolist())]
     for section, members in (("Generals", names[general]), ("Binaries", names[~general])):
         if len(members):
-            out += [section, _wrap_rows([""], members, np.array([0, len(members)]))]
+            out.append(section)
+            _wrap("", members.tolist(), out)
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -781,7 +779,8 @@ def parse_lp(text: str) -> IpModel:
     relation = (code <= _TOKEN_CODES["="]) & (code >= _TOKEN_CODES[">="])
     count = np.add.reduceat(relation.astype(np.int64), start) if start.size else start
     rhs = [tokens[t] for t in (end - 1).tolist()]
-    ok = (count == 1) & relation[np.maximum(end - 2, 0)] & [bool(_INT.fullmatch(v)) for v in rhs]
+    integral = np.array([bool(_INT.fullmatch(v)) for v in rhs], bool)
+    ok = (count == 1) & relation[np.maximum(end - 2, 0)] & integral
     if not ok.all():
         name = model.row_names[int(np.argmin(ok))]
         raise ValueError(f"constraint {name!r} does not end with a relation and an integer")
@@ -834,19 +833,23 @@ def emit_mps(model: IpModel) -> str:
 
 def parse_solution(text: str, path: str | None = None) -> dict[str, float]:
     """Read whitespace-separated ``name value`` lines; ``#`` starts a comment.  A
-    malformed line raises ``ParseError`` there, at the column of a value not a number."""
+    malformed line raises ``ParseError`` there, at the column of a value not a number
+    or of a name given on an earlier line."""
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'name value', got {raw!r}", lineno, 1, path)
         name, value = fields
+        if name in out:
+            raise ParseError(f"name {name!r} is repeated", lineno, raw.index(name) + 1, path)
         try:
-            out[name.group()] = float(value.group())
+            out[name] = float(value)
         except ValueError as exc:
-            raise ParseError(str(exc), lineno, value.start() + 1, path) from None
+            column = raw.index(value, raw.index(name) + len(name)) + 1
+            raise ParseError(str(exc), lineno, column, path) from None
     return out
 
 

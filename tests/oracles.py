@@ -52,7 +52,9 @@ a-time constructions (``ak_half_loop``, ``ak_ext_odd_loop`` and
 ``ak_ext_even_loop``, with ``_gamma_dot`` and ``_linear_block``), kept
 verbatim as the reference for the whole-block table lookups, and the earlier
 per-line ``parse_array_loop`` (every body row through ``fileio._level_row``),
-kept verbatim as the reference for the whole-buffer array reader.
+kept verbatim as the reference for the whole-buffer array reader, and the
+earlier per-line regex reader of solution files (``parse_solution_loop``),
+kept verbatim as the reference for the ``str.split`` reader.
 """
 
 from __future__ import annotations
@@ -1432,6 +1434,24 @@ def emit_mps_loop(model: IpModelLists) -> str:
             out.append(f"    {name}  {name}  {2 * coef}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
+
+
+def parse_solution_loop(text: str, path: str | None = None) -> dict[str, float]:
+    """Read whitespace-separated ``name value`` lines; ``#`` starts a comment.  A
+    malformed line raises ``ParseError`` there, at the column of a value not a number."""
+    out: dict[str, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"expected 'name value', got {raw!r}", lineno, 1, path)
+        name, value = fields
+        try:
+            out[name.group()] = float(value.group())
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, value.start() + 1, path) from None
+    return out
 
 
 def evaluate_model_loop(model, assignment: dict[str, float]) -> ModelCheck:

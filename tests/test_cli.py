@@ -554,13 +554,30 @@ class TestIpVerify:
     @pytest.mark.parametrize("line, where, message", [
         ("x_1_3_2 abc", "2:9", "could not convert string to float: 'abc'"),
         ("x_1_3_2 1 0", "2:1", "expected 'name value', got 'x_1_3_2 1 0'"),
-    ], ids=["value", "fields"])
+        ("\tx_1_3_1 0", "2:2", "name 'x_1_3_1' is repeated"),
+    ], ids=["value", "fields", "repeated"])
     def test_malformed_line_is_located(self, capsys, tmp_path, line, where, message):
         sol = tmp_path / "sol.txt"
         sol.write_text(f"x_1_3_1 1\n{line}\n")
         code, out, err = run(capsys, "ip-verify", 2, 4, sol)
         assert (code, out) == (2, "")
         assert err == f"error: {sol}:{where}: {message}\n"
+
+    @pytest.mark.parametrize("rows, sym, code, symmetry", [
+        ([[1, 1, 1, 1], [1, 2, 1, 2], [2, 1, 2, 1], [2, 2, 2, 2]], "klein", 0, "pass"),
+        ([[1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 2, 1], [2, 2, 2, 2]], None, 0, None),
+        ([[1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 2, 1], [2, 2, 2, 2]], "klein", 3, "FAIL"),
+        ([[1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 2, 1], [2, 2, 2, 2]], "semicyclic:1", 3, "FAIL"),
+    ], ids=["klein", "no-sym", "klein-asymmetric", "semicyclic-asymmetric"])
+    def test_sym_checks_the_ties(self, capsys, tmp_path, rows, sym, code, symmetry):
+        inst = IpInstance(s=2, k=4, p=2, epsilon=2)
+        sol = self.write_solution(tmp_path, inst, Array(np.array(rows), 2))
+        argv = ["ip-verify", 2, 4, sol, "--p", 2, "--eps", 2] + (["--sym", sym] if sym else [])
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert lines_of(out).get("symmetry") == symmetry
+        assert out.splitlines()[-1].startswith("symmetry" if sym else "deltas")
+        assert ("verification failed" in err) == (code == 3)
 
     def test_non_ascii_byte_is_located(self, capsys, tmp_path):
         sol = tmp_path / "sol.txt"

@@ -50,6 +50,7 @@ from oracles import (
     exhaustive_optimum_loop,
     model_of,
     parse_lp_loop,
+    parse_solution_loop,
     prefix_constraints_loop,
     verify_solution_loop,
 )
@@ -549,6 +550,24 @@ class TestSymmetryConstraints:
         check = evaluate_model(model, assignment)
         assert not [v for v in check.violations if "sim" in v]
 
+    @pytest.mark.parametrize("kw, rows, ok", [
+        (dict(symmetry="klein"), [[1, 1, 1, 1], [1, 2, 1, 2], [2, 1, 2, 1], [2, 2, 2, 2]], True),
+        (dict(symmetry="klein"), [[1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 2, 1], [2, 2, 2, 2]], False),
+        # columns 3 and 4 repeat the pinned ones, so the level cycle (2 3) maps rows to rows
+        (dict(s=3, symmetry="semicyclic", m_bar=2), [[u, v, u, v] for u in (1, 2, 3)
+                                                     for v in (1, 2, 3)], True),
+        (dict(s=3, symmetry="semicyclic", m_bar=2), [[u, v, u, 1 + (u * v) % 3] for u in (1, 2, 3)
+                                                     for v in (1, 2, 3)], False),
+    ], ids=["klein", "klein-asymmetric", "semicyclic", "semicyclic-asymmetric"])
+    def test_verify_solution_checks_the_ties(self, kw, rows, ok):
+        inst = IpInstance(**{"s": 2, "k": 4, "p": 2, "epsilon": 2, **kw})
+        assignment = canonical_assignment(inst, Array(np.array(rows), inst.s))
+        report = verify_solution(inst, assignment)
+        check = evaluate_model(add_symmetry(build_model(inst), inst), assignment)
+        assert report.symmetry_ok is ok
+        assert ok == (not [v for v in check.violations if v.startswith("constraint sim")])
+        assert report.ok is ok
+
     def test_asymmetric_array_violates_ties(self):
         inst = IpInstance(s=2, k=4, symmetry="klein", p=2, epsilon=2)
         rows = [[1, 1, 1, 1], [1, 2, 1, 1], [2, 1, 2, 1], [2, 2, 2, 2]]
@@ -579,6 +598,14 @@ class TestLpFormat:
         text = emit_lp(model)
         again = emit_lp(parse_lp(text))
         assert again == text
+
+    @pytest.mark.parametrize("text", [
+        emit_lp(IpModel()),
+        "Minimize\n obj: x\nSubject To\nBounds\nBinaries\n x\nEnd\n",
+    ], ids=["empty model", "no rows"])
+    def test_model_without_rows_round_trips(self, text):
+        model = parse_lp(text)
+        assert parse_lp(emit_lp(model)) == model
 
     def test_line_length_and_charset(self):
         inst = IpInstance(s=4, k=6, p=2)
@@ -678,6 +705,25 @@ class TestMpsFormat:
         assert "QMATRIX" not in text
 
 
+@st.composite
+def solution_texts(draw):
+    """Solution text with distinct names: lines of one to three fields in runs of spaces
+    and tabs, ``#`` anywhere, blank lines, and every line break ``splitlines`` knows
+    of that an ASCII file can hold."""
+    gap = st.text(" \t", min_size=1, max_size=3)
+    value = st.sampled_from(["1", "0.5", "-0", "nan", "inf", "1e5", "0x1", "x", "e", "_", "1_0"])
+    lines = []
+    for name in draw(st.lists(st.text("x1_e", min_size=1, max_size=4), unique=True, max_size=6)):
+        fields = [name] + [draw(value) for _ in range(draw(st.sampled_from([1] * 8 + [0, 2])))]
+        line = draw(st.text(" \t", max_size=2)) + "".join(f + draw(gap) for f in fields)
+        if draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + "#" + line[at:]
+        lines += [line] + draw(st.lists(st.text(" \t", max_size=2), max_size=1))
+    end = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    return "".join(line + draw(end) for line in lines)
+
+
 class TestSolutionIo:
     def test_parse_solution(self):
         text = "# objective 4\nx_1_3_1 1\nx_1_3_2 0.0\n\nd1_1 -1\n"
@@ -689,6 +735,19 @@ class TestSolutionIo:
             parse_solution("x_1_3_1\n")
         with pytest.raises(ParseError, match=re.escape("sol:2:11: could not convert")):
             parse_solution("# x y\n x_1_3_1  one\n", "sol")
+        with pytest.raises(ParseError, match=re.escape("sol:3:3: name 'x_1_3_1' is repeated")):
+            parse_solution("x_1_3_1 1\nx_1_3_2 0\n  x_1_3_1 0\n", "sol")
+
+    @settings(max_examples=300, deadline=None)
+    @given(solution_texts())
+    def test_parse_solution_equals_the_regex_reader(self, text):
+        def read(reader):
+            try:
+                return reader(text, "sol")
+            except ParseError as exc:
+                return exc.message, exc.line, exc.column
+        # repr tells NaN, -0.0 and the order of the names apart
+        assert repr(read(parse_solution)) == repr(read(parse_solution_loop))
 
     def test_solve_with_command(self, tmp_path):
         # A stand-in solver: copies variable names out of the LP file and
@@ -798,15 +857,12 @@ class TestArrayModel:
     @given(st.lists(st.tuples(st.sampled_from(["", " c:", " " + "h" * 80]),
                               st.lists(st.integers(1, 90), max_size=12)), min_size=1, max_size=6))
     def test_wrapped_rows_equal_the_per_token_wrap(self, rows):
-        heads = [head for head, _ in rows]
-        tokens = ["t" * width for _, widths in rows for width in widths]
-        indptr = np.cumsum([0] + [len(widths) for _, widths in rows])
-        want, start = [], 0
+        want, got = [], []
         for head, widths in rows:
-            _wrap(head, tokens[start : start + len(widths)], want)
-            start += len(widths)
-        got = ipmodel_mod._wrap_rows(heads, np.array(tokens, dtype=object), indptr)
-        assert got == "\n".join(want)
+            tokens = ["t" * width for width in widths]
+            _wrap(head, tokens, want)
+            ipmodel_mod._wrap(head, tokens, got)
+        assert got == want
 
     # SHA-256 of the LP and MPS text of the model built from lists of objects
     @pytest.mark.parametrize("kw, lp_sha, mps_sha", [
