@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import constructions, fileio, ipmodel, search
 from .arrays import _check_strength, is_oa, tolerance, unbalance
-from .discrepancy import cd, md, wd
+from .discrepancy import CENTERED, MIXTURE, WRAPAROUND, discrepancy, points_of
 from .fileio import ParseError, format_exact
 from .metrics import d1, d2, d_value, default_contrast
 
@@ -83,9 +83,10 @@ def _cmd_eval(args) -> int:
             print(f"d_f = {format_exact(d_value(a, f))}")
     if args.discrepancies:
         with _timed("eval discrepancies"):
-            print(f"cd = {format_exact(cd(a))}")
-            print(f"wd = {format_exact(wd(a))}")
-            print(f"md = {format_exact(md(a))}")
+            points = points_of(a)  # one column setup for all three kernels
+            print(f"cd = {format_exact(discrepancy(points, CENTERED))}")
+            print(f"wd = {format_exact(discrepancy(points, WRAPAROUND))}")
+            print(f"md = {format_exact(discrepancy(points, MIXTURE))}")
     return EXIT_OK
 
 
@@ -222,6 +223,9 @@ def _cmd_ip_verify(args) -> int:
     try:
         assignment = ipmodel.parse_solution(text, args.solution)
         report = ipmodel.verify_solution(inst, assignment)
+    except ipmodel._NonFinite as exc:  # names are unique, so its value has one place
+        line, column = ipmodel._value_position(text, exc.name)
+        raise ParseError(str(exc), line, column, args.solution) from exc
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1, args.solution) from exc
     if args.out:

@@ -7,7 +7,14 @@ with the per-coordinate integrals
 
     i1(x) = int_0^1 K(x, y) dy        i2 = int_0^1 int_0^1 K(x, y) dx dy
 
-derived analytically.  The pair term sum_{i,i'} prod_j K(x_ij, x_i'j) is
+derived analytically.  The column setup is made once per point set: a
+``PointSet`` keeps each column's distinct values and inverse (``np.unique``,
+the inverse in the smallest unsigned dtype) from the first call that needs
+them, and ``metrics_snapshot``, ``eval --discrepancies`` and
+``check_discrepancy_bounds`` hand one ``points_of(a)`` to all three kernels.
+Each call builds, and checks for exact symmetry, one kernel table per
+distinct set of column values: a single table when every column of an array
+takes all s levels.  The pair term sum_{i,i'} prod_j K(x_ij, x_i'j) is
 folded into one N x N accumulator, so memory is O(N^2), not O(N^2 k), and
 the fold is cache-blocked: each column's kernel rows (its kernel table over
 the column's u distinct values, s x s for an array's points, gathered out to
@@ -36,7 +43,7 @@ s = 2 because the kernels are then two-valued on the point lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -69,9 +76,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointSet:
-    """N points in the unit cube, one row per point."""
+    """N points in the unit cube, one row per point.
+
+    Two point sets are equal when their points are; the per-column levels
+    that ``discrepancy_sq`` keeps on a point set take no part in that.
+    """
 
     points: np.ndarray
+    _columns: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )  # per column (distinct values, inverse), filled by ``_column_levels``
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays writable
@@ -91,6 +105,31 @@ class PointSet:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and bool(np.array_equal(self.points, other.points))
+
+    def __hash__(self) -> int:
+        # -0.0 + 0.0 is 0.0: points that compare equal hash from equal bytes
+        return hash(((self.points + 0.0).tobytes(), self.points.shape))
+
+
+def _column_levels(ps: PointSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column's distinct values and inverse, computed once per point set.
+
+    The inverse is held in the smallest unsigned dtype that indexes the
+    values; both arrays are read-only, since later calls share them.
+    """
+    if not ps._columns:
+        levels = []
+        for x in ps.points.T:
+            vals, inv = np.unique(x, return_inverse=True)
+            inv = inv.astype(np.min_scalar_type(len(vals) - 1))
+            vals.setflags(write=False)
+            inv.setflags(write=False)
+            levels.append((vals, inv))
+        ps._columns.extend(levels)
+    return ps._columns
 
 
 def points_of(a: Array) -> PointSet:
@@ -193,12 +232,18 @@ def discrepancy_sq(ps: PointSet, kernel: ProductKernel) -> float:
             for inv, rows in group:
                 block *= rows[inv[r0 : r0 + step], r0:]
 
+    # Columns with the same distinct values share one kernel table, built
+    # and checked for exact symmetry once: a lattice needs a single table.
+    tables: dict[bytes, np.ndarray] = {}
     group, width = [], 0
-    for x in pts.T:
-        vals, inv = np.unique(x, return_inverse=True)
-        table = kernel.k1(vals[:, None], vals[None, :])
-        if not np.array_equal(table, table.T):
-            raise ValueError(f"kernel {kernel.name!r} is not exactly symmetric")
+    for vals, inv in _column_levels(ps):
+        key = vals.tobytes()
+        if key not in tables:
+            table = kernel.k1(vals[:, None], vals[None, :])
+            if not np.array_equal(table, table.T):
+                raise ValueError(f"kernel {kernel.name!r} is not exactly symmetric")
+            tables[key] = table
+        table = tables[key]
         if group and width + len(vals) + 1 > step:
             fold(group)
             group, width = [], 0
@@ -386,7 +431,8 @@ def check_discrepancy_bounds(a: Array) -> dict[str, BoundCheck]:
         "wraparound": wd_coupling(s),
         "mixture": md_coupling(s),
     }
-    measured = {"centered": cd(a), "wraparound": wd(a), "mixture": md(a)}
+    ps = points_of(a)  # one column setup for all three kernels
+    measured = {kernel.name: discrepancy(ps, kernel) for kernel in (CENTERED, WRAPAROUND, MIXTURE)}
     equality_at = {"centered": s == 2, "wraparound": s <= 3, "mixture": s == 2}
     counts = _agreement_counts(a)
 

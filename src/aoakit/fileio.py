@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .arrays import Array, is_oa, tolerance, unbalance
-from .discrepancy import cd, md, wd
+from .discrepancy import CENTERED, MIXTURE, WRAPAROUND, discrepancy, points_of
 from .metrics import d1, d2, d_value, default_contrast
 from .symmetry import SymmetricEncoding, format_generator, parse_generator
 
@@ -305,6 +305,7 @@ def format_exact(value) -> str:
 def metrics_snapshot(a: Array) -> dict[str, str]:
     """The recomputable snapshot stored with every catalog entry."""
     f = default_contrast(a.n_levels)
+    ps = points_of(a)  # one column setup for all three kernels
     return {
         "is_oa2": format_exact(int(a.n_factors >= 2 and is_oa(a, 2))),
         "tol2": format_exact(tolerance(a, 2)),
@@ -313,9 +314,9 @@ def metrics_snapshot(a: Array) -> dict[str, str]:
         "d1": format_exact(d1(a)),
         "d2": format_exact(d2(a)),
         "d_f": format_exact(d_value(a, f)),
-        "cd": format_exact(cd(a)),
-        "wd": format_exact(wd(a)),
-        "md": format_exact(md(a)),
+        "cd": format_exact(discrepancy(ps, CENTERED)),
+        "wd": format_exact(discrepancy(ps, WRAPAROUND)),
+        "md": format_exact(discrepancy(ps, MIXTURE)),
     }
 
 

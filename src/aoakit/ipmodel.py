@@ -512,6 +512,14 @@ class VerificationReport:
                 and self.symmetry_ok)
 
 
+class _NonFinite(ValueError):
+    """A value that is not finite, given for the variable ``name``."""
+
+    def __init__(self, name: str):
+        super().__init__(f"value of {name} is not finite")
+        self.name = name
+
+
 def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> VerificationReport:
     """Rebuild the array from x values and audit the solution's bookkeeping.
 
@@ -525,7 +533,7 @@ def verify_solution(inst: IpInstance, assignment: dict[str, float]) -> Verificat
     given = np.array(list(map(assignment.get, names, itertools.repeat(np.nan))), np.float64)
     infinite = np.flatnonzero(present & ~np.isfinite(given))
     if infinite.size:
-        raise ValueError(f"value of {names[infinite[0]]} is not finite")
+        raise _NonFinite(names[infinite[0]])
     missing = ~present[layout.x].all(axis=2)
     ones = np.round(given[layout.x]) == 1
     bad = (missing | (ones.sum(axis=2) != 1)).T  # column by column
@@ -848,9 +856,22 @@ def parse_solution(text: str, path: str | None = None) -> dict[str, float]:
         try:
             out[name] = float(value)
         except ValueError as exc:
-            column = raw.index(value, raw.index(name) + len(name)) + 1
-            raise ParseError(str(exc), lineno, column, path) from None
+            raise ParseError(str(exc), lineno, _value_column(raw, name, value), path) from None
     return out
+
+
+def _value_column(raw: str, name: str, value: str) -> int:
+    """1-based column of ``value`` after ``name`` on one solution line."""
+    return raw.index(value, raw.index(name) + len(name)) + 1
+
+
+def _value_position(text: str, name: str) -> tuple[int, int]:
+    """Line and column of ``name``'s value in solution text that ``parse_solution`` read."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields[:1] == [name]:
+            return lineno, _value_column(raw, name, fields[1])
+    raise KeyError(name)
 
 
 def solve_with_command(

@@ -9,6 +9,9 @@ bit-for-bit reference for the float arithmetic order, and
 verbatim as the same reference at large N, and
 ``discrepancy_sq_row_blocks``, the earlier fold over the whole accumulator
 in row blocks, kept verbatim as the reference for the triangle fold, and
+``discrepancy_sq_triangle``, the earlier triangle fold with its column
+setup (``np.unique``, kernel table and symmetry check) run per call and per
+column, kept verbatim as the reference for the shared column setup, and
 ``serialize_array_loop``, the earlier per-cell array writer, kept verbatim
 as the byte reference for the level-name table, and the two per-state
 exact oracles ``exhaustive_optimum_loop`` and ``brute_force_optimum_loop``,
@@ -304,6 +307,67 @@ def discrepancy_sq_row_blocks(ps, kernel) -> float:
         group.append((inv, np.take(kernel.k1(vals[:, None], vals[None, :]), inv, axis=1)))
         width += len(vals) + 1
     fold(group)
+    pair = float(prod.sum())
+    return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
+
+
+def discrepancy_sq_triangle(ps, kernel) -> float:
+    """Squared discrepancy by the triangle fold, with the column setup per call.
+
+    The library's earlier ``discrepancy_sq``, kept verbatim: every call runs
+    ``np.unique`` on each column and builds and checks each column's kernel
+    table.  Its float result is the exact-equality reference for the fold
+    that shares one column setup per point set and one table per distinct
+    column.
+    """
+    pts = ps.points
+    n, k = pts.shape
+    cross = float(np.prod(kernel.i1(pts), axis=1).sum())
+    # Row blocks over column groups, upper trapezoids only.  Per column, its u
+    # kernel rows are taken out to u x N once (``take``: ``table[:, inv]`` is
+    # not C-ordered).  The block of rows r0:r0+step needs only columns r0:N;
+    # it is kept packed, h x (N - r0) and C-ordered, at the front of its own
+    # rows of ``prod``, so no second N x N array is needed, and gathers its
+    # factor rows from each column's kernel rows.  A group's rows and inverse
+    # indices (one row's worth each) fill at most ``step`` rows unless one
+    # column needs more, so the group and one gathered block stay within
+    # ``_CHUNK_BYTES``.  Each entry takes its factors left to right over the
+    # columns, the same sequential product np.prod takes along the last axis
+    # of the N x N x k kernel tensor, and the exactly symmetric kernel tables
+    # give entry (j, i) the very factors of (i, j): the mirrored matrix is
+    # the tensor's product, bit for bit.
+    prod = np.ones((n, n))
+    step = max(1, min(n // 2, _CHUNK_BYTES // (16 * n)))
+    starts = range(0, n, step)
+    flat = prod.reshape(-1)
+    blocks = [
+        flat[r0 * n : r0 * n + min(step, n - r0) * (n - r0)].reshape(-1, n - r0)
+        for r0 in starts
+    ]
+
+    def fold(group):
+        for r0, block in zip(starts, blocks):
+            for inv, rows in group:
+                block *= rows[inv[r0 : r0 + step], r0:]
+
+    group, width = [], 0
+    for x in pts.T:
+        vals, inv = np.unique(x, return_inverse=True)
+        table = kernel.k1(vals[:, None], vals[None, :])
+        if not np.array_equal(table, table.T):
+            raise ValueError(f"kernel {kernel.name!r} is not exactly symmetric")
+        if group and width + len(vals) + 1 > step:
+            fold(group)
+            group, width = [], 0
+        group.append((inv, np.take(table, inv, axis=1)))
+        width += len(vals) + 1
+    fold(group)
+    # Unpack every block before mirroring, which writes into later blocks'
+    # rows.  A packed block starts inside its destination, hence the copy.
+    for r0, block in zip(starts[1:], blocks[1:]):
+        prod[r0 : r0 + step, r0:] = block.copy()
+    for r0 in starts:
+        prod[r0 + step :, r0 : r0 + step] = prod[r0 : r0 + step, r0 + step :].T
     pair = float(prod.sum())
     return kernel.i2**k - 2.0 * cross / n + pair / (n * n)
 

@@ -605,10 +605,12 @@ class TestIpVerify:
         assignment = canonical_assignment(inst, self.oa_8_4_2())
         assignment[name] = value
         sol = tmp_path / "sol.txt"
-        sol.write_text("".join(f"{n} {v}\n" for n, v in assignment.items()))
+        sol.write_text("# header\n" + "".join(f" {n}  {v}\n" for n, v in assignment.items()))
         code, out, err = run(capsys, "ip-verify", 2, 4, sol, "--lam", 2)
         assert (code, out) == (2, "")
-        assert err == f"error: {sol}:1:1: value of {name} is not finite\n"
+        # located at the value: below the header, after the indent, name and two spaces
+        line, column = list(assignment).index(name) + 2, len(name) + 4
+        assert err == f"error: {sol}:{line}:{column}: value of {name} is not finite\n"
 
     def test_oversized_model_is_refused(self, capsys, tmp_path):
         # refused like `ip` (exit 1), before the solution file is opened

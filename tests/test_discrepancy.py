@@ -39,6 +39,7 @@ from oracles import (
     discrepancy_sq_column_fold,
     discrepancy_sq_row_blocks,
     discrepancy_sq_slow,
+    discrepancy_sq_triangle,
 )
 
 KERNELS = [CENTERED, WRAPAROUND, MIXTURE]
@@ -98,6 +99,31 @@ def block_edge_point_sets(draw):
     return PointSet(rng.choice([0.0, -0.0, 0.5, 1.0], size=(n, k)))
 
 
+@st.composite
+def partial_level_point_sets(draw):
+    """Lattice points whose columns each take a drawn subset of the s levels,
+    so that columns differ in their distinct values and kernel tables."""
+    s = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 40))
+    columns = draw(
+        st.lists(st.sets(st.integers(1, s), min_size=1), min_size=1, max_size=12)
+    )
+    cells = [
+        draw(st.lists(st.sampled_from(sorted(levels)), min_size=n, max_size=n))
+        for levels in columns
+    ]
+    return points_of(Array(np.array(cells).T, s))
+
+
+@st.composite
+def signed_zero_point_sets(draw):
+    """Continuous points with a 0.0 and a -0.0 in every column, rows shuffled."""
+    base = draw(cube_point_sets()).points
+    zeros = np.array([[0.0], [-0.0]]) * np.ones(base.shape[1])
+    pts = np.vstack([base, zeros])
+    return PointSet(pts[draw(st.permutations(range(len(pts))))])
+
+
 class _Skewed(ProductKernel):
     """A centered kernel plus an x-only term: k1(x, y) != k1(y, x)."""
 
@@ -106,6 +132,29 @@ class _Skewed(ProductKernel):
 
     def i1(self, x):
         return CENTERED.i1(x) + 0.125 * x
+
+
+class _SkewedAtOne(ProductKernel):
+    """A centered kernel skewed only at x = 1: k1(1, y) != k1(y, 1)."""
+
+    def k1(self, x, y):
+        return CENTERED.k1(x, y) + np.where(x == 1.0, 0.125, 0.0)
+
+    def i1(self, x):
+        return CENTERED.i1(x)
+
+
+class _Tabled(ProductKernel):
+    """The centered kernel, recording the values of every table it builds."""
+
+    tables = []  # a class attribute, not a dataclass field
+
+    def k1(self, x, y):
+        self.tables.append(np.ravel(x).tolist())
+        return CENTERED.k1(x, y)
+
+    def i1(self, x):
+        return CENTERED.i1(x)
 
 
 class TestPointSet:
@@ -149,6 +198,20 @@ class TestPointSet:
         ps = PointSet(points)
         points[0, 0] = 0.5
         assert ps.points.tolist() == [[0.25, 0.75]]
+
+    def test_equality_and_hash_follow_the_points(self, rng):
+        p = rng.random((6, 3))
+        used, unused = PointSet(p), PointSet(p.copy())
+        discrepancy_sq(used, CENTERED)  # keeps its column levels
+        assert used == unused and hash(used) == hash(unused)
+        assert len({used, unused}) == 1
+        assert used != PointSet(p[::-1])
+        assert used != PointSet(p.reshape(3, 6))
+        assert used != p
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        plus, minus = PointSet([[0.0, 0.5]]), PointSet([[-0.0, 0.5]])
+        assert plus == minus and hash(plus) == hash(minus)
 
 
 class TestKernelIntegrals:
@@ -250,6 +313,41 @@ class TestDiscrepancy:
         ps = points_of(random_array(rng, n_runs=12, n_factors=3, n_levels=3))
         with pytest.raises(ValueError, match="'skewed' is not exactly symmetric"):
             discrepancy_sq(ps, _Skewed("skewed", i2=CENTERED.i2 + 0.0625))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(partial_level_point_sets(), signed_zero_point_sets()),
+        st.permutations(KERNELS),
+        st.integers(1, 3),
+    )
+    def test_shared_column_setup_is_bit_identical_to_the_per_call_setup(
+        self, ps, order, repeats
+    ):
+        for _ in range(repeats):
+            for kernel in order:
+                expected = discrepancy_sq_triangle(PointSet(ps.points), kernel)
+                assert discrepancy_sq(ps, kernel).hex() == expected.hex()
+
+    def test_one_table_per_distinct_column(self):
+        # columns 0 and 2 take levels {1, 2, 3}, column 1 {1, 3}, column 3 {2}
+        a = Array(np.array([[1, 1, 3, 2], [2, 3, 2, 2], [3, 1, 1, 2]]), 3)
+        kernel = _Tabled("tabled", i2=CENTERED.i2)
+        kernel.tables.clear()
+        value = discrepancy_sq(points_of(a), kernel)
+        assert value == discrepancy_sq(points_of(a), CENTERED)
+        assert kernel.tables == [[1 / 6, 3 / 6, 5 / 6], [1 / 6, 5 / 6], [3 / 6]]
+        kernel.tables.clear()
+        discrepancy_sq(points_of(construct(ConstructionSpec(3, 3, 1, "half"))), kernel)
+        assert len(kernel.tables) == 1  # each column of this construction takes all 3 levels
+
+    def test_asymmetry_in_a_later_column_is_refused(self):
+        # columns 0 and 1 share the symmetric table over {0.25, 0.5}; only
+        # column 2's table, over {0.25, 0.5, 1.0}, shows the skew
+        pts = np.array([[0.25, 0.5, 1.0], [0.5, 0.25, 0.25], [0.25, 0.5, 0.5]])
+        kernel = _SkewedAtOne("skewed at one", i2=CENTERED.i2)
+        discrepancy_sq(PointSet(pts[:, :2]), kernel)
+        with pytest.raises(ValueError, match="'skewed at one' is not exactly symmetric"):
+            discrepancy_sq(PointSet(pts), kernel)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
     def test_memory_is_quadratic_in_runs_only(self, rng, kernel):

@@ -467,6 +467,19 @@ class TestSnapshot:
         snap = metrics_snapshot(a)
         assert (snap["cd"], snap["wd"], snap["md"]) == pinned
 
+    def test_each_columns_levels_are_taken_once(self, rng, monkeypatch):
+        # cd, wd and md share one point set: one np.unique per column, not three
+        unique, calls = np.unique, []
+
+        def counted(ar, *args, **kwargs):
+            calls.append(np.shape(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        a = random_array(rng, n_runs=20, n_factors=5, n_levels=3)
+        metrics_snapshot(a)
+        assert calls == [(20,)] * 5
+
     def test_needs_two_factors(self):
         one_col = Array(np.array([[1], [2]]), n_levels=2)
         with pytest.raises(ValueError):
