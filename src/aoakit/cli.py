@@ -205,11 +205,11 @@ def _cmd_ip(args) -> int:
         if inst.symmetry is not None:
             ipmodel.add_symmetry(model, inst)
     with _timed("ip lp"):
-        Path(args.out).write_text(ipmodel.emit_lp(model), encoding="ascii", newline="")
+        ipmodel._write_text(args.out, ipmodel._lp_pieces(model))
     print(f"lp = {args.out}")
     if args.mps:
         with _timed("ip mps"):
-            Path(args.mps).write_text(ipmodel.emit_mps(model), encoding="ascii", newline="")
+            ipmodel._write_text(args.mps, ipmodel._mps_pieces(model))
         print(f"mps = {args.mps}")
     print(f"variables = {len(model.names)}")
     print(f"constraints = {len(model.row_names)}")

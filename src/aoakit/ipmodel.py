@@ -35,7 +35,14 @@ An ``IpModel`` is arrays over one variable table: ``build_model`` and
 Emission is a deterministic CPLEX-LP subset (Minimize / Subject To / Bounds /
 Generals / Binaries / End, ASCII, LF, lines well under 255 characters) that
 round-trips byte-identically through ``parse_lp``, each row wrapped by one
-greedy loop (``_wrap``); MPS is a secondary format.  A solver is never
+greedy loop (``_wrap``); MPS is a secondary format.  The text is made and read
+in row blocks, so memory stays near the model's own size:
+``_lp_pieces`` and ``_mps_pieces`` yield it in pieces of at most
+``_piece_size()`` terms (from ``arrays._CHUNK_BYTES``), a line that crosses two
+pieces carried as ``_wrap``'s open line; ``emit_lp`` and ``emit_mps`` join the
+pieces, and ``aoakit ip`` and ``solve_with_command`` write each piece to the
+file as it comes.  ``parse_lp`` cuts the ``Subject To`` lines into blocks
+before a row name and parses each block on its own.  A solver is never
 embedded: ``solve_with_command`` shells out to a user-supplied command and
 reads a plain ``name value`` solution file (each name once).
 ``verify_solution`` also checks the ties of a declared symmetry.
@@ -65,6 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import (
+    _CHUNK_BYTES,
     Array,
     _count_table,
     _level_digits,
@@ -637,6 +645,33 @@ def exhaustive_optimum(inst: IpInstance, max_states: int = 10**7) -> ExhaustiveR
 
 _LP_WIDTH = 78
 
+_TERM_BYTES = 128
+"""What a piece of LP or MPS text spends on one term, name or bound line: its token
+string, list slot and the block's index arrays."""
+
+
+def _piece_size() -> int:
+    """Terms, names or bound lines per piece of LP or MPS text, and terms per block of
+    ``parse_lp`` rows, so that a piece stays within about ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // _TERM_BYTES)
+
+
+def _blocks(n: int):
+    """The ranges ``(a, b)`` that cover 0..n in order, each ``_piece_size()`` long but the last."""
+    step = _piece_size()
+    return ((a, min(a + step, n)) for a in range(0, n, step))
+
+
+def _text(lines: list[str]) -> str:
+    """``lines``, each ended by LF."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _write_text(path, pieces) -> None:
+    """Write text ``pieces`` to ``path`` as ASCII, each as it comes."""
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.writelines(pieces)
+
 
 def _term_tokens(coefs: np.ndarray, names: np.ndarray, first: np.ndarray) -> np.ndarray:
     """LP tokens ``+ x``, ``- 3 x`` of terms; a ``first`` positive term drops its ``+``."""
@@ -648,66 +683,126 @@ def _term_tokens(coefs: np.ndarray, names: np.ndarray, first: np.ndarray) -> np.
     return np.where(first, lead[inverse], rest[inverse]) + names
 
 
-def _wrap(head: str, tokens: list[str], out: list[str]) -> None:
-    """Append ``head`` and ``tokens`` to ``out`` as lines broken greedily at ``_LP_WIDTH``:
-    continuation lines are indented by three spaces, and an empty head's tokens start its line."""
-    line = head
+def _wrap(line: str, tokens: list[str], out: list[str]) -> str:
+    """Add ``tokens`` to the open ``line``, breaking greedily at ``_LP_WIDTH``: full lines
+    go to ``out`` and the line left open is returned.  Continuation lines are indented by
+    three spaces, and an empty line's first token starts it."""
     for token in tokens:
         if line and len(line) + 1 + len(token) > _LP_WIDTH:
             out.append(line)
             line = "   " + token
         else:
             line = f"{line} {token}" if line else token
-    out.append(line)
+    return line
+
+
+def _lp_objective(model: IpModel, names: np.ndarray):
+    """The ``Minimize`` lines of ``emit_lp``, one list per block of terms, the last one closed."""
+    lin, quad, line = len(model.lin_vars), len(model.quad_vars), " obj:"
+    for a, b in _blocks(lin):
+        out = []
+        line = _wrap(line, _term_tokens(model.lin_coefs[a:b], names[model.lin_vars[a:b]],
+                                        np.arange(a, b) == 0).tolist(), out)
+        yield out
+    for a, b in _blocks(quad):
+        out = []
+        tokens = _term_tokens(2 * model.quad_coefs[a:b], names[model.quad_vars[a:b]] + " ^2",
+                              np.arange(a, b) == (-1 if lin else 0)).tolist()
+        if a == 0:
+            tokens[0] = f"+ [ {tokens[0].lstrip('+ ')}" if lin else f"[ {tokens[0]}"
+        if b == quad:
+            tokens[-1] += " ] / 2"
+        line = _wrap(line, tokens, out)
+        yield out
+    yield [line]
+
+
+def _lp_rows(model: IpModel, names: np.ndarray):
+    """The ``Subject To`` lines of ``emit_lp``, one list per block of terms.  A row that
+    goes on into the next block is carried there as its open line."""
+    indptr, row, line = model.indptr, 0, ""
+    for a, b in list(_blocks(len(model.cols))) or [(0, 0)]:
+        stop = int(np.searchsorted(indptr[1:], b, "right"))  # rows row..stop-1 end here
+        bounds = indptr[row : stop + 2].tolist()
+        first = np.zeros(b - a, bool)
+        first[[s - a for s in bounds if a <= s < b]] = True
+        tokens = _term_tokens(model.coefs[a:b], names[model.cols[a:b]], first).tolist()
+        tails = [[_RELATIONS[r], str(v)] for r, v in zip(
+            model.relations[row:stop].tolist(), model.rhs[row:stop].tolist())]
+        out = []
+        for r, s, e in zip(range(row, stop + 1), bounds, bounds[1:]):
+            if s >= a:  # the row starts in this block
+                if r == stop and s == b:
+                    break
+                line = f" {model.row_names[r]}:"
+            if r < stop:
+                out.append(_wrap(line, tokens[max(s - a, 0) : e - a] + tails[r - row], out))
+                line = ""
+            else:
+                line = _wrap(line, tokens[max(s - a, 0) :], out)
+        row = stop
+        yield out
+
+
+def _lp_pieces(model: IpModel):
+    """The text of ``emit_lp`` in pieces of whole lines, one per block of at most
+    ``_piece_size()`` terms or variables, so that no token list of the whole model is built."""
+    names = np.array(model.names, dtype=object)
+    yield _text(["\\ almost-orthogonal-array minimum-unbalance model", "Minimize"])
+    yield from map(_text, _lp_objective(model, names))
+    yield "Subject To\n"
+    yield from map(_text, _lp_rows(model, names))
+    yield "Bounds\n"
+    for a, b in _blocks(len(names)):
+        v = np.flatnonzero(model.kinds[a:b] == 1) + a
+        yield _text([f" {lo} <= {name} <= {hi}" for name, lo, hi in zip(
+            names[v].tolist(), model.lower[v].tolist(), model.upper[v].tolist())])
+    for section, kind in (("Generals", 1), ("Binaries", 0)):
+        if (model.kinds == kind).any():
+            line = ""
+            yield section + "\n"
+            for a, b in _blocks(len(names)):
+                out = []
+                line = _wrap(line, names[a:b][model.kinds[a:b] == kind].tolist(), out)
+                yield _text(out)
+            yield line + "\n"
+    yield "End\n"
 
 
 def emit_lp(model: IpModel) -> str:
     """Deterministic CPLEX-LP text for the model."""
-    names = np.array(model.names, dtype=object)
-    lin, quad = len(model.lin_vars), len(model.quad_vars)
-    tokens = _term_tokens(model.lin_coefs, names[model.lin_vars], np.arange(lin) == 0).tolist()
-    if quad:
-        qt = _term_tokens(2 * model.quad_coefs, names[model.quad_vars] + " ^2",
-                          np.arange(quad) == (-1 if tokens else 0)).tolist()
-        qt[0] = f"[ {qt[0]}" if not tokens else f"+ [ {qt[0].lstrip('+ ')}"
-        qt[-1] += " ] / 2"
-        tokens += qt
-    out = ["\\ almost-orthogonal-array minimum-unbalance model", "Minimize"]
-    _wrap(" obj:", tokens, out)
-    out.append("Subject To")
-    first = np.zeros(len(model.cols), bool)
-    first[model.indptr[:-1][np.diff(model.indptr) > 0]] = True
-    terms = _term_tokens(model.coefs, names[model.cols], first).tolist()
-    bounds = model.indptr.tolist()
-    rows = zip(model.row_names, bounds, bounds[1:], model.relations.tolist(), model.rhs.tolist())
-    for name, a, b, r, rhs in rows:
-        _wrap(f" {name}:", terms[a:b] + [_RELATIONS[r], str(rhs)], out)
-    out.append("Bounds")
-    general = model.kinds == 1
-    out += [f" {lo} <= {name} <= {hi}" for name, lo, hi in zip(
-        names[general].tolist(), model.lower[general].tolist(), model.upper[general].tolist())]
-    for section, members in (("Generals", names[general]), ("Binaries", names[~general])):
-        if len(members):
-            out.append(section)
-            _wrap("", members.tolist(), out)
-    out.append("End")
-    return "\n".join(out) + "\n"
+    return "".join(_lp_pieces(model))
 
 
 _TOKEN_CODES = {"+": -1, "-": -2, "=": -3, "<=": -4, ">=": -5}  # relation r: -3 - r
 _OTHER = -6  # a number, a row name or an undeclared name
 _INT = re.compile(r"[-+]?\d+")
+_SECTIONS = ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End")
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _parse_terms(tokens: list[str], code: np.ndarray, skip=np.False_):
+def _int64(values: list[int], error) -> np.ndarray:
+    """``values`` as int64; the first one that does not fit raises ``ValueError(error(i))``."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if v not in _INT64)
+        raise ValueError(error(i)) from None
+
+
+def _parse_terms(tokens: list[str], code: np.ndarray, skip=np.False_,
+                 owner=lambda t: "objective 'obj'"):
     """Coefficients, variables and positions of the terms among ``tokens``, and the
     undeclared names.  A variable takes the last sign since the previous term (default +)
-    and the decimal right before it (default 1); tokens in ``skip`` only end a term.
+    and the decimal right before it (default 1); tokens in ``skip`` only end a term.  A
+    decimal beyond int64 is a ``ValueError`` naming the ``owner`` of its token position.
     """
     other = np.flatnonzero((code == _OTHER) & ~skip)
     words = [tokens[t] for t in other.tolist()]
     value = np.full(len(tokens) + 1, -1, np.int64)  # [t + 1]: the decimal token t; [0] a boundary
-    value[other + 1] = [int(w) if w.isdecimal() else -1 for w in words]
+    value[other + 1] = _int64(
+        [int(w) if w.isdecimal() else -1 for w in words],
+        lambda i: f"{owner(int(other[i]))} coefficient {words[i]} does not fit int64")
     at = np.flatnonzero(code >= 0)
     last = np.maximum.accumulate(np.where(value < 0, np.arange(len(tokens) + 1), 0))[at]
     sign = np.where(np.append(_OTHER, code)[last] == _TOKEN_CODES["-"], -1, 1)
@@ -715,20 +810,55 @@ def _parse_terms(tokens: list[str], code: np.ndarray, skip=np.False_):
     return sign * np.where(value[at] < 0, 1, value[at]), code[at], at, missing
 
 
-def parse_lp(text: str) -> IpModel:
-    """Parse the subset of LP format produced by ``emit_lp``."""
-    lines = [l for l in text.splitlines() if not l.lstrip().startswith("\\")]
-    section = None
-    bodies: dict[str, list[str]] = {}
-    for line in lines:
+def _text_lines(text: str):
+    """The lines of ``str.splitlines``, split from slices of about ``_CHUNK_BYTES // 4``
+    characters that end after an LF, so that the list of every line is never held."""
+    a = 0
+    while a < len(text):
+        b = text.find("\n", a + _CHUNK_BYTES // 4) + 1 or len(text)
+        yield from text[a:b].splitlines()
+        a = b
+
+
+def _opens_row(token: str) -> bool:
+    """Whether ``token`` names a constraint row: a name-shaped word and a colon."""
+    return token[-1] == ":" and bool(_NAME.fullmatch(token[:-1]))
+
+
+def _split_sections(text: str) -> tuple[dict[str, list[str]], list[str]]:
+    """The lines of each section that are neither blank nor ``\\`` comments, by heading
+    (every heading seen is a key), but for ``Subject To``, whose stripped lines come as
+    blocks of text instead.  A block is cut once it holds about ``_piece_size()`` terms
+    (8 characters each), before a line whose first token names a row, so no row spans
+    two blocks."""
+    bodies, blocks, block, size, limit = {}, [], [], 0, 8 * _piece_size()
+    lines = rows = None
+    for line in _text_lines(text):
         stripped = line.strip()
-        if stripped in ("Minimize", "Subject To", "Bounds", "Generals", "Binaries", "End"):
-            section = stripped
-            bodies.setdefault(section, [])
+        if stripped in _SECTIONS:
+            lines, rows = bodies.setdefault(stripped, []), stripped == "Subject To"
+        elif lines is None or not stripped or stripped[0] == "\\":
             continue
-        if section is None or not stripped:
-            continue
-        bodies[section].append(line)
+        elif not rows:
+            lines.append(line)
+        else:
+            if size >= limit and _opens_row(stripped.split(None, 1)[0]):
+                blocks.append("\n".join(block))
+                block, size = [], 0
+            block.append(stripped)
+            size += len(stripped)
+    if block:
+        blocks.append("\n".join(block))
+    return bodies, blocks
+
+
+def parse_lp(text: str) -> IpModel:
+    """Parse the subset of LP format produced by ``emit_lp``.
+
+    The ``Subject To`` rows are read in blocks of lines (``_split_sections``), each split,
+    coded and parsed on its own, so that no token list of the whole section is built.
+    """
+    bodies, blocks = _split_sections(text)
 
     if "Minimize" not in bodies:
         raise ValueError("LP text has no Minimize section")
@@ -740,7 +870,10 @@ def parse_lp(text: str) -> IpModel:
         m = re.fullmatch(r"\s*(-?\d+)\s*<=\s*(\w+)\s*<=\s*(-?\d+)\s*", line)
         if not m:
             raise ValueError(f"unsupported bounds line: {line!r}")
-        bounds[m.group(2)] = (int(m.group(1)), int(m.group(3)))
+        lo, name, hi = int(m.group(1)), m.group(2), int(m.group(3))
+        if lo not in _INT64 or hi not in _INT64:
+            raise ValueError(f"bounds of {name!r} do not fit int64")
+        bounds[name] = (lo, hi)
     binaries = " ".join(bodies.get("Binaries", [])).split()
     generals = " ".join(bodies.get("Generals", [])).split()
     unbounded = [name for name in generals if name not in bounds]
@@ -771,72 +904,116 @@ def parse_lp(text: str) -> IpModel:
         quad_tokens = [t for t in quad_part[:close] if t != "^2"]
     model.lin_coefs, model.lin_vars, _, missing = _parse_terms(linear_part, codes(linear_part))
     doubled, model.quad_vars, _, missing_quad = _parse_terms(quad_tokens, codes(quad_tokens))
+    missing |= missing_quad
     if (doubled % 2).any():
         raise ValueError("quadratic coefficients must be doubled inside [ ]")
     model.quad_coefs = doubled // 2
 
     # rows: a name with a colon, terms, one relation, an integer right-hand side
-    tokens = " ".join(bodies.get("Subject To", [])).split()
-    code = codes(tokens)
-    start = np.array([t for t in np.flatnonzero(code == _OTHER).tolist()
-                      if tokens[t][-1] == ":" and _NAME.fullmatch(tokens[t][:-1])], np.int64)
-    if tokens and not (start.size and start[0] == 0):
-        raise ValueError(f"constraint text {tokens[0]!r} comes before any constraint name")
-    end = np.append(start[1:], len(tokens))[: len(start)]
-    model.row_names = [tokens[t][:-1] for t in start.tolist()]
-    relation = (code <= _TOKEN_CODES["="]) & (code >= _TOKEN_CODES[">="])
-    count = np.add.reduceat(relation.astype(np.int64), start) if start.size else start
-    rhs = [tokens[t] for t in (end - 1).tolist()]
-    integral = np.array([bool(_INT.fullmatch(v)) for v in rhs], bool)
-    ok = (count == 1) & relation[np.maximum(end - 2, 0)] & integral
-    if not ok.all():
-        name = model.row_names[int(np.argmin(ok))]
-        raise ValueError(f"constraint {name!r} does not end with a relation and an integer")
-    model.relations = (_TOKEN_CODES["="] - code[end - 2]).astype(np.int8)
-    model.rhs = np.array(list(map(int, rhs)), np.int64)
-    skip = np.zeros(len(tokens), bool)
-    skip[np.concatenate([start, end - 2, end - 1])] = True
-    model.coefs, model.cols, at, missing_rows = _parse_terms(tokens, code, skip)
-    model.indptr = np.searchsorted(at, np.append(start, len(tokens)))
-    if missing | missing_quad | missing_rows:
-        raise _undeclared(missing | missing_quad | missing_rows)
+    coefs, cols, relations, rhs = [model.coefs], [model.cols], [model.relations], [model.rhs]
+    starts, terms = [], 0
+    blocks.reverse()
+    while blocks:
+        tokens = blocks.pop().split()
+        code = codes(tokens)
+        start = np.array([t for t in np.flatnonzero(code == _OTHER).tolist()
+                          if _opens_row(tokens[t])], np.int64)
+        if not (start.size and start[0] == 0):  # a later block starts with a row name
+            raise ValueError(f"constraint text {tokens[0]!r} comes before any constraint name")
+        end = np.append(start[1:], len(tokens))
+        names = [tokens[t][:-1] for t in start.tolist()]
+        relation = (code <= _TOKEN_CODES["="]) & (code >= _TOKEN_CODES[">="])
+        count = np.add.reduceat(relation.astype(np.int64), start)
+        words = [tokens[t] for t in (end - 1).tolist()]
+        integral = np.array([bool(_INT.fullmatch(v)) for v in words], bool)
+        ok = (count == 1) & relation[np.maximum(end - 2, 0)] & integral
+        if not ok.all():
+            name = names[int(np.argmin(ok))]
+            raise ValueError(f"constraint {name!r} does not end with a relation and an integer")
+        rhs.append(_int64(list(map(int, words)), lambda i: (
+            f"constraint {names[i]!r} right-hand side {words[i]} does not fit int64")))
+        relations.append((_TOKEN_CODES["="] - code[end - 2]).astype(np.int8))
+        skip = np.zeros(len(tokens), bool)
+        skip[np.concatenate([start, end - 2, end - 1])] = True
+        row_of = lambda t: f"constraint {names[np.searchsorted(start, t, 'right') - 1]!r}"
+        block_coefs, block_cols, at, missing_rows = _parse_terms(tokens, code, skip, row_of)
+        starts.append(np.searchsorted(at, start) + terms)
+        terms += len(at)
+        coefs.append(block_coefs)
+        cols.append(block_cols)
+        model.row_names += names
+        missing |= missing_rows
+    if missing:
+        raise _undeclared(missing)
+    seen = set()
+    for name in model.row_names:
+        if name in seen:
+            raise ValueError(f"constraint {name!r} is repeated")
+        seen.add(name)
+    model.coefs, model.cols, model.relations, model.rhs = map(
+        np.concatenate, (coefs, cols, relations, rhs))
+    model.indptr = np.concatenate(starts + [[terms]])
     return model
 
 
-def emit_mps(model: IpModel) -> str:
-    """Free-format MPS emission (secondary to the LP format)."""
-    names = np.array(model.names, dtype=object)
-    out = ["NAME          AOAMODEL", "ROWS", " N  obj"]
-    out += [f" {'ELG'[r]}  {name}" for r, name in zip(model.relations.tolist(), model.row_names)]
-    # one entry per objective variable (its summed coefficient), then per row term,
-    # listed by variable in a stable order
+def _mps_columns(model: IpModel, names: np.ndarray):
+    """The ``COLUMNS`` entries of ``emit_mps``, one string per block of entries: each
+    variable's summed objective coefficient, then its row terms, variable by variable."""
     lin_vars, inverse = np.unique(model.lin_vars, return_inverse=True)
     lin_coefs = np.zeros(len(lin_vars), np.int64)
     np.add.at(lin_coefs, inverse, model.lin_coefs)
     cols = np.append(lin_vars, model.cols)
     order = np.argsort(cols, kind="stable")
-    rows = np.append(np.zeros(len(lin_vars), np.int64),
-                     np.repeat(np.arange(1, len(model.row_names) + 1), np.diff(model.indptr)))
-    coefs, coef_index = np.unique(np.append(lin_coefs, model.coefs), return_inverse=True)
-    entries = np.empty((len(cols), 6), dtype=object)
-    entries[:, 0], entries[:, 2], entries[:, 4] = "\n    ", "  ", "  "
-    entries[:, 1] = names[cols[order]]
-    entries[:, 3] = np.array(["obj"] + model.row_names, dtype=object)[rows[order]]
-    entries[:, 5] = np.array(list(map(str, coefs.tolist())), dtype=object)[coef_index[order]]
+    first = np.append(0, np.cumsum(np.bincount(cols, minlength=len(names))))  # of each variable
+    del cols
+    labels = np.array(["obj"] + model.row_names, dtype=object)
+    for a, b in _blocks(len(order)):
+        term = order[a:b] - len(lin_vars)  # a row term, or an objective entry if negative
+        objective = term < 0
+        coefs = np.empty(b - a, np.int64)
+        coefs[objective] = lin_coefs[order[a:b][objective]]
+        coefs[~objective] = model.coefs[term[~objective]]
+        distinct, coef_index = np.unique(coefs, return_inverse=True)
+        entries = np.empty((b - a, 7), dtype=object)
+        entries[:, 0], entries[:, 2], entries[:, 4], entries[:, 6] = "    ", "  ", "  ", "\n"
+        entries[:, 1] = names[np.searchsorted(first, np.arange(a, b), "right") - 1]
+        entries[:, 3] = labels[np.searchsorted(model.indptr, term, "right")]  # 0 (obj) if negative
+        entries[:, 5] = np.array(list(map(str, distinct.tolist())), dtype=object)[coef_index]
+        yield "".join(entries.ravel().tolist())
+
+
+def _mps_pieces(model: IpModel):
+    """The text of ``emit_mps`` in pieces, one per block of at most ``_piece_size()`` rows,
+    entries or variables."""
+    names = np.array(model.names, dtype=object)
+    yield _text(["NAME          AOAMODEL", "ROWS", " N  obj"])
+    for a, b in _blocks(len(model.row_names)):
+        yield _text([f" {'ELG'[r]}  {name}" for r, name in zip(
+            model.relations[a:b].tolist(), model.row_names[a:b])])
     marker = "    MARKER                 'MARKER'                 "
-    out += ["COLUMNS", marker + "'INTORG'" + "".join(entries.ravel().tolist()), marker + "'INTEND'"]
-    out.append("RHS")
-    out += [f"    RHS  {name}  {v}" for name, v in zip(model.row_names, model.rhs.tolist()) if v]
-    out.append("BOUNDS")
-    out += [f" LO BND  {name}  {lo}\n UP BND  {name}  {hi}" if kind else f" BV BND  {name}"
-            for name, kind, lo, hi in zip(
-                model.names, model.kinds.tolist(), model.lower.tolist(), model.upper.tolist())]
+    yield _text(["COLUMNS", marker + "'INTORG'"])
+    yield from _mps_columns(model, names)
+    yield _text([marker + "'INTEND'", "RHS"])
+    for a, b in _blocks(len(model.row_names)):
+        yield _text([f"    RHS  {name}  {v}" for name, v in zip(
+            model.row_names[a:b], model.rhs[a:b].tolist()) if v])
+    yield "BOUNDS\n"
+    for a, b in _blocks(len(names)):
+        rows = zip(names[a:b].tolist(), model.kinds[a:b].tolist(), model.lower[a:b].tolist(),
+                   model.upper[a:b].tolist())
+        yield _text([f" LO BND  {name}  {lo}\n UP BND  {name}  {hi}" if kind else f" BV BND  {name}"
+                     for name, kind, lo, hi in rows])
     if len(model.quad_vars):
-        out.append("QMATRIX")
-        out += [f"    {name}  {name}  {2 * coef}" for coef, name in model._terms(
-            model.quad_coefs, model.quad_vars)]
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+        yield "QMATRIX\n"
+    for a, b in _blocks(len(model.quad_vars)):
+        yield _text([f"    {name}  {name}  {2 * coef}" for coef, name in zip(
+            model.quad_coefs[a:b].tolist(), names[model.quad_vars[a:b]].tolist())])
+    yield "ENDATA\n"
+
+
+def emit_mps(model: IpModel) -> str:
+    """Free-format MPS emission (secondary to the LP format)."""
+    return "".join(_mps_pieces(model))
 
 
 def parse_solution(text: str, path: str | None = None) -> dict[str, float]:
@@ -882,7 +1059,7 @@ def solve_with_command(
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         lp_path = Path(tmp) / "model.lp"
         sol_path = Path(tmp) / "model.sol"
-        lp_path.write_text(emit_lp(model), encoding="ascii")
+        _write_text(lp_path, _lp_pieces(model))
         argv = [
             part.format(lp=str(lp_path), sol=str(sol_path))
             for part in shlex.split(command_template)

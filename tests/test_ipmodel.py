@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import re
 import sys
@@ -667,6 +668,34 @@ class TestLpFormat:
         with pytest.raises(ValueError, match=re.escape("undeclared variables referenced: ['w']")):
             parse_lp(self._lp(rows=" c1: x + w = 1"))
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(rows=" c1: x >= 99999999999999999999"),
+         "constraint 'c1' right-hand side 99999999999999999999 does not fit int64"),
+        (dict(rows=" c1: x = 1\n c2: x >= -9223372036854775809"),
+         "constraint 'c2' right-hand side -9223372036854775809 does not fit int64"),
+        (dict(rows=" c1: x = 1\n c2: x - 9223372036854775808 y >= 0"),
+         "constraint 'c2' coefficient 9223372036854775808 does not fit int64"),
+        (dict(objective=" obj: x + 99999999999999999999 y"),
+         "objective 'obj' coefficient 99999999999999999999 does not fit int64"),
+        (dict(objective=" obj: x + [ 99999999999999999998 y ^2 ] / 2"),
+         "objective 'obj' coefficient 99999999999999999998 does not fit int64"),
+        (dict(generals=" g", bounds=" 0 <= g <= 9223372036854775808"),
+         "bounds of 'g' do not fit int64"),
+    ], ids=["rhs", "negative rhs", "row coefficient", "objective", "quadratic", "bound"])
+    def test_parse_refuses_numbers_beyond_int64(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_lp(self._lp(**kw))
+
+    def test_parse_reads_the_int64_limits(self):
+        model = parse_lp(self._lp(rows=" c1: 9223372036854775807 x >= -9223372036854775808",
+                                  generals=" g", bounds=" -9223372036854775808 <= g <= 0"))
+        assert model.rhs.tolist() == [-(1 << 63)] and model.coefs.tolist() == [(1 << 63) - 1]
+        assert model.lower.tolist() == [0, 0, -(1 << 63)]
+
+    def test_parse_refuses_a_repeated_constraint_name(self):
+        with pytest.raises(ValueError, match=re.escape("constraint 'c1' is repeated")):
+            parse_lp(self._lp(rows=" c1: x >= 1\n c2: y = 0\n c1: x <= 1"))
+
     # SHA-256 of the LP and MPS text, captured from the implementation that
     # wrote the rows of each pinned column and each deviation family's bounds
     # out separately
@@ -852,16 +881,19 @@ class TestArrayModel:
         assert got == want
         assert repr(got.objective) == repr(want.objective)
 
-    # rows of tokens up to 90 characters (longer than a line) after heads that may be empty
+    # rows of tokens up to 90 characters (longer than a line) after heads that may be empty,
+    # each row given to _wrap in two parts that the open line carries across
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["", " c:", " " + "h" * 80]),
-                              st.lists(st.integers(1, 90), max_size=12)), min_size=1, max_size=6))
+                              st.lists(st.integers(1, 90), max_size=12), st.integers(0, 12)),
+                    min_size=1, max_size=6))
     def test_wrapped_rows_equal_the_per_token_wrap(self, rows):
         want, got = [], []
-        for head, widths in rows:
+        for head, widths, cut in rows:
             tokens = ["t" * width for width in widths]
             _wrap(head, tokens, want)
-            ipmodel_mod._wrap(head, tokens, got)
+            line = ipmodel_mod._wrap(head, tokens[:cut], got)
+            got.append(ipmodel_mod._wrap(line, tokens[cut:], got))
         assert got == want
 
     # SHA-256 of the LP and MPS text of the model built from lists of objects
@@ -929,3 +961,79 @@ class TestArrayModel:
         model.cols[0] = len(model.names)
         with pytest.raises(ValueError, match=re.escape(f"undeclared variables referenced: [{len(model.names)}]")):
             model.validate()
+
+
+class TestPieces:
+    """LP and MPS text made in pieces, and LP rows read in blocks, at any piece size."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _piece_size(terms):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ipmodel_mod, "_CHUNK_BYTES", terms * ipmodel_mod._TERM_BYTES)
+            yield
+
+    @pytest.mark.parametrize("terms", [1, 2, 7])
+    @settings(max_examples=25, deadline=None)
+    @given(small_instances())
+    def test_pieces_equal_the_list_model(self, terms, inst):
+        new, old = TestArrayModel._both(inst)
+        lp, mps = emit_lp_loop(old), emit_mps_loop(old)
+        with self._piece_size(terms):
+            assert "".join(ipmodel_mod._lp_pieces(new)) == lp
+            assert "".join(ipmodel_mod._mps_pieces(new)) == mps
+            parsed = parse_lp(lp)
+            assert len(ipmodel_mod._split_sections(lp)[1]) > 1
+        assert TestArrayModel._fields(parsed) == TestArrayModel._fields(parse_lp_loop(lp))
+        assert parsed == new
+
+    # each case after twelve good rows, so that small blocks put it in a later block
+    @pytest.mark.parametrize("rows, message", [
+        (" c1: x = 1\n c2: x = y = 1", "constraint 'c2' does not end with"),
+        (" c1: x = 1 + y", "constraint 'c1' does not end with"),
+        (" c1: x = y", "constraint 'c1' does not end with"),
+        (" c1: x +\n y", "constraint 'c1' does not end with"),
+        (" c1: x = 1\n c2: x + y =", "constraint 'c2' does not end with"),
+        (" c1: x + w = 1", "undeclared variables referenced: ['w']"),
+        (" c1: x >= 99999999999999999999",
+         "constraint 'c1' right-hand side 99999999999999999999 does not fit int64"),
+        (" c1: y + 99999999999999999999 x >= 0",
+         "constraint 'c1' coefficient 99999999999999999999 does not fit int64"),
+        (" c1: x >= 1\n r3: x <= 1", "constraint 'r3' is repeated"),
+    ])
+    def test_errors_in_a_later_block_keep_their_message(self, rows, message):
+        good = "".join(f" r{i}: x - 2 y >= {-i}\n" for i in range(12))
+        text = TestLpFormat._lp(rows=good + rows)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_lp(text)
+        for terms in (1, 2, 7):
+            with self._piece_size(terms):
+                assert len(ipmodel_mod._split_sections(text)[1]) > 2
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    parse_lp(text)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        inst = IpInstance(s=6, k=7, lam=1, p=2, symmetry="both", m_bar=3)
+        return add_symmetry(build_model(inst), inst)
+
+    @staticmethod
+    def _traced(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, *tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_peak_is_a_small_multiple_of_the_model(self, model):
+        text = emit_lp(model)
+        parsed, size, peak = self._traced(lambda: parse_lp(text))
+        assert parsed == model
+        assert peak <= 3 * size
+
+    @pytest.mark.parametrize("pieces", ["_lp_pieces", "_mps_pieces"])
+    def test_pieces_stay_within_a_piece_and_the_model_arrays(self, model, pieces):
+        arrays = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+        _, _, peak = self._traced(lambda: all(map(str, getattr(ipmodel_mod, pieces)(model))))
+        assert peak <= ipmodel_mod._CHUNK_BYTES + 2 * arrays
