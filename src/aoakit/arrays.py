@@ -8,7 +8,14 @@ that target, the p-unbalance the sum of p-th powers of all deviations.
 
 All strength-t counting goes through one generator, ``_count_chunks(a, t)``,
 which yields the rows of the count table in blocks within ``_CHUNK_BYTES``:
-row r holds the level-tuple counts of the r-th column t-tuple.
+row r holds the level-tuple counts of the r-th column t-tuple.  It has two
+kernels.  The general one codes each block's tuples and counts them by one
+offset-coded ``np.bincount``.  The strength-2 table of an array with
+N >= 8 s² whose panels hold at least 8 first columns is instead read off
+EᵀE, E being the N x (k·s) 0/1 level indicator that ``hamming_similarity``
+multiplies as E·Eᵀ: float32 products of indicator slices, one panel of
+first columns a block (``_gram_pairs`` is the rule, ``_pair_panels`` the
+kernel).
 ``_count_table(a, t)`` stacks the blocks into the whole table, for the
 callers that need rows: the pairwise criteria in ``metrics`` and the
 incremental tables of ``search`` and ``ipmodel``.  ``_count_histogram(a, t)``
@@ -17,9 +24,10 @@ it is kept on the array, so each strength is counted once per array.
 ``is_oa``, tolerance, bandwidth and the integer-p unbalance are read off the
 histogram, and every metric built on them (D1/D2, the catalog snapshot, the
 construction checks) with them; the float-p unbalance sums the blocks' rows
-as they arrive.  The exact oracles of ``search`` and ``ipmodel`` share one
-state scan, ``_state_blocks``: it counts each prefix's pairs once and scores
-its last columns in integer blocks.
+as they arrive, and ``_balanced_pairs`` reduces them to per-pair flags.  The
+exact oracles of ``search`` and ``ipmodel`` share one state scan,
+``_state_blocks``: it counts each prefix's pairs once and scores its last
+columns in integer blocks.
 
 ``_level_digits`` is the one writer of the lexicographic grid of level vectors:
 the oracles' heads, pools and last columns and the constructions' rows read it.
@@ -147,14 +155,56 @@ already mapped.
 """
 
 
+_GRAM_RUNS = 1 << 24
+"""Runs below which float32 sums of 0/1 products, every partial sum an integer
+at most N, are exact."""
+
+
+_GRAM_PANEL = 8
+"""Fewest first columns a panel of ``_pair_panels`` must hold for the Gram path."""
+
+
+_INDICATOR_BYTES = 6
+"""Bytes per cell and level that ``_indicator_rows`` takes at most while it
+is made: the one-byte levels, the bool comparison and the float32 result."""
+
+
+def _panel_width(n: int, k: int, s: int) -> int:
+    """First columns in one panel of ``_pair_panels``: their int64 rows take at
+    most half of ``_CHUNK_BYTES``, and making their indicator at most the other
+    half (at least one column)."""
+    column = _INDICATOR_BYTES * n * s
+    return max(1, min(k - 1, _CHUNK_BYTES // (16 * (k - 1) * s * s), _CHUNK_BYTES // (2 * column)))
+
+
+def _gram_pairs(n: int, k: int, s: int) -> bool:
+    """Whether ``_count_chunks`` counts the strength-2 table of an N x k,
+    s-level array as indicator Gram products rather than by ``np.bincount``.
+
+    Only the shape decides.  A pair costs the products N·s² multiply-adds at
+    BLAS speed against one ``np.bincount`` pass over N codes, and a product is
+    fast only while it is wide: each panel must hold at least ``_GRAM_PANEL``
+    first columns.  Timed on a 2-vCPU machine, the products won on every such
+    array with N >= 8 s² (686 x 114 at s = 7, panels of 11 columns: 18 -> 13
+    ms a histogram), lost ten-fold at N = 1.25 s² (2000 x 10 at s = 40), and
+    lost with narrow panels (2401 x 401 at s = 7, panels of 3: 0.77 -> 0.99
+    s).  They are exact while N < 2^24.
+    """
+    return 8 * s * s <= n < _GRAM_RUNS and _panel_width(n, k, s) >= _GRAM_PANEL
+
+
 def _count_chunks(a: Array, t: int):
     """Yield the rows of ``_count_table(a, t)`` in consecutive blocks.
 
     Each block counts its column tuples by one offset-coded ``np.bincount``,
-    sized so that the block's temporaries stay within ``_CHUNK_BYTES``.
-    ``t`` must already be checked.
+    sized so that the block's temporaries stay within ``_CHUNK_BYTES``.  At
+    t = 2, on the shapes ``_gram_pairs`` admits, the blocks are the panels of
+    ``_pair_panels`` instead.  ``t`` must already be checked.
     """
     n, s, st = a.n_runs, a.n_levels, a.n_levels**t
+    if t == 2 and _gram_pairs(n, a.n_factors, s):
+        yield from _pair_panels(a)
+        return
     # levels stay 1-based, which saves a copy per call; the offsets take off ``ones``,
     # the code of the all-ones level tuple
     levels = np.ascontiguousarray(a.cells.T)
@@ -170,6 +220,37 @@ def _count_chunks(a: Array, t: int):
             code += levels[chunk[:, c]]
         code += np.arange(-ones, len(chunk) * st - ones, st)[:, None]
         yield np.bincount(code.ravel(), minlength=len(chunk) * st).reshape(-1, st)
+
+
+def _pair_panels(a: Array):
+    """Yield the rows of ``_count_table(a, 2)`` in panels of whole first columns.
+
+    The counts of column pair (i, j) are the s x s block (i, j) of EᵀE, E
+    being the N x (k·s) level indicator.  A panel takes the ``_panel_width``
+    consecutive first columns J and multiplies E_Jᵀ by E_B for blocks B of w
+    later columns, each made by ``_indicator_rows`` from its columns' cells
+    when it is needed, so E is never held whole.  E_J, E_B and their product
+    stay within ``_CHUNK_BYTES``, unless one column alone needs more.  The
+    counts are below 2^24 (``_gram_pairs``), so float32 holds every product
+    exactly.
+    """
+    n, k, s = a.n_runs, a.n_factors, a.n_levels
+    ss, column = s * s, _INDICATOR_BYTES * n * s  # a table row's cells; making a column's indicator
+    c = _panel_width(n, k, s)
+    w = max(1, min(k - 1, (_CHUNK_BYTES - 4 * c * n * s) // (column + 4 * c * ss)))
+    first = np.concatenate(([0], np.cumsum(np.arange(k - 1, 0, -1))))  # row of (i, i + 1)
+    for i0 in range(0, k - 1, c):
+        i1 = min(i0 + c, k - 1)
+        rows = np.empty((first[i1] - first[i0], ss), dtype=np.int64)
+        e_j = _indicator_rows(a.cells[:, i0:i1], s)
+        for j0 in range(i0 + 1, k, w):
+            j1 = min(j0 + w, k)
+            prod = (e_j @ _indicator_rows(a.cells[:, j0:j1], s).T).reshape(i1 - i0, s, -1, s)
+            for i in range(i0, min(i1, j1 - 1)):
+                lo = max(j0, i + 1)
+                r = first[i] - first[i0] + lo - i - 1
+                rows[r : r + j1 - lo].reshape(-1, s, s)[:] = prod[i - i0, :, lo - j0 :].transpose(1, 0, 2)
+        yield rows
 
 
 def _count_table(a: Array, t: int) -> np.ndarray:
@@ -188,6 +269,19 @@ def _count_table(a: Array, t: int) -> np.ndarray:
     return table
 
 
+def _counted(a: Array, t: int):
+    """Yield the blocks of ``_count_chunks(a, t)``; once the last has passed,
+    keep their histogram on ``a`` if it is not kept yet."""
+    hist = None if t in a._histograms else np.zeros(a.n_runs + 1, dtype=np.int64)
+    for chunk in _count_chunks(a, t):
+        if hist is not None:
+            hist += np.bincount(chunk.ravel(), minlength=a.n_runs + 1)
+        yield chunk
+    if hist is not None:
+        hist.setflags(write=False)
+        a._histograms[t] = hist
+
+
 def _count_histogram(a: Array, t: int) -> np.ndarray:
     """Read-only int64 vector of length N+1: entry c is how many cells of
     ``_count_table(a, t)`` hold the count c.
@@ -195,15 +289,11 @@ def _count_histogram(a: Array, t: int) -> np.ndarray:
     Accumulated chunk by chunk, so the table is never held whole, and kept on
     ``a`` so that each strength is counted once per array.
     """
-    hist = a._histograms.get(t)
-    if hist is None:
+    if t not in a._histograms:
         _check_strength(a, t)
-        hist = np.zeros(a.n_runs + 1, dtype=np.int64)
-        for chunk in _count_chunks(a, t):
-            hist += np.bincount(chunk.ravel(), minlength=a.n_runs + 1)
-        hist.setflags(write=False)
-        a._histograms[t] = hist
-    return hist
+        for _ in _counted(a, t):
+            pass
+    return a._histograms[t]
 
 
 def _level_digits(index: np.ndarray, n: int, s: int) -> np.ndarray:
@@ -301,16 +391,23 @@ def _balanced_pairs(a: Array) -> np.ndarray:
     """k x k bool matrix: columns i and j form a strength-2 OA (True for i = j).
 
     ``pairs[np.ix_(cols, cols)].all()`` is ``is_oa(a.select_columns(cols), 2)``.
-    The whole table is at hand here, so it also fills ``a``'s strength-2
-    count histogram if that is not kept yet.
+    Each block of the table is reduced to its rows' flags as it is counted,
+    and the same blocks fill ``a``'s strength-2 count histogram if that is
+    not kept yet, so the table is never held whole.
     """
-    table = _count_table(a, 2)
-    if 2 not in a._histograms:
-        hist = np.bincount(table.ravel(), minlength=a.n_runs + 1)
-        hist.setflags(write=False)
-        a._histograms[2] = hist
-    balanced = np.all(table * a.n_levels**2 == a.n_runs, axis=1)
-    return balanced[_pair_rows(a.n_factors)] | np.eye(a.n_factors, dtype=bool)
+    _check_strength(a, 2)
+    k = a.n_factors
+    balanced = np.empty(math.comb(k, 2), dtype=bool)
+    lo = 0
+    for chunk in _counted(a, 2):
+        balanced[lo : lo + len(chunk)] = np.all(chunk * a.n_levels**2 == a.n_runs, axis=1)
+        lo += len(chunk)
+    pairs = np.eye(k, dtype=bool)
+    lo = 0
+    for i in range(k - 1):  # row by row: no k x k index map
+        pairs[i, i + 1 :] = pairs[i + 1 :, i] = balanced[lo : lo + k - 1 - i]
+        lo += k - 1 - i
+    return pairs
 
 
 def count_tuple(a: Array, x, j) -> int:
@@ -388,11 +485,19 @@ def unbalance(a: Array, t: int, p) -> Exact | float:
     return total_f
 
 
+def _indicator_rows(cells: np.ndarray, s: int) -> np.ndarray:
+    """float32 Eᵀ, the (k·s) x N transposed 0/1 level indicator of an N x k
+    block of cells over 1..s: row j·s + v - 1 marks the rows holding level v in
+    column j.  Each column's levels are compared as one contiguous row."""
+    levels = np.ascontiguousarray(cells.T, dtype=np.min_scalar_type(s))
+    held = np.arange(1, s + 1, dtype=levels.dtype)[:, None]
+    return (levels[:, None, :] == held).reshape(-1, len(cells)).astype(np.float32)
+
+
 def _indicator_gram(cells: np.ndarray, s: int) -> np.ndarray:
-    """float32 E·Eᵀ of the 0/1 level-indicator matrix E of some columns' cells."""
-    onehot = (cells[:, :, None] == np.arange(1, s + 1)).reshape(len(cells), -1)
-    onehot = onehot.astype(np.float32)
-    return onehot @ onehot.T
+    """float32 E·Eᵀ of the level indicator E of some columns' cells."""
+    rows = _indicator_rows(cells, s)
+    return rows.T @ rows
 
 
 def hamming_similarity(a: Array) -> np.ndarray:

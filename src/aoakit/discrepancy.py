@@ -8,9 +8,10 @@ with the per-coordinate integrals
     i1(x) = int_0^1 K(x, y) dy        i2 = int_0^1 int_0^1 K(x, y) dx dy
 
 derived analytically.  The column setup is made once per point set: a
-``PointSet`` keeps each column's distinct values and inverse (``np.unique``,
-the inverse in the smallest unsigned dtype) from the first call that needs
-them, and ``metrics_snapshot``, ``eval --discrepancies`` and
+``PointSet`` keeps each column's distinct values and inverse (those of
+``np.unique``, the inverse in the smallest unsigned dtype): ``points_of``
+fills them from the integer cells in one pass, and any other point set from
+the first call that needs them.  ``metrics_snapshot``, ``eval --discrepancies`` and
 ``check_discrepancy_bounds`` hand one ``points_of(a)`` to all three kernels.
 Each call builds, and checks for exact symmetry, one kernel table per
 distinct set of column values: a single table when every column of an array
@@ -133,8 +134,31 @@ def _column_levels(ps: PointSet) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def points_of(a: Array) -> PointSet:
-    """Map each run to the cube point ((2*a[i,1]-1)/(2s), ..., (2*a[i,k]-1)/(2s))."""
-    return PointSet((2 * a.cells - 1) / (2 * a.n_levels))
+    """Map each run to the cube point ((2*a[i,1]-1)/(2s), ..., (2*a[i,k]-1)/(2s)).
+
+    The point set's column levels come from the integer cells in one pass,
+    with no ``np.unique``: which levels each column holds, and each cell's
+    rank among them.  The map is increasing, so the values and inverses are
+    those ``np.unique`` would find, bit for bit.  Columns that hold every
+    level share one values array.
+    """
+    k, s = a.n_factors, a.n_levels
+    ps = PointSet((2 * a.cells - 1) / (2 * s))
+    codes = a.cells.T + np.arange(0, k * (s + 1), s + 1)[:, None]  # slot v of column j's row
+    held = np.zeros((k, s + 1), dtype=bool)  # slot 0 is never held
+    held.reshape(-1)[codes] = True
+    inverse = np.cumsum(held, axis=1, dtype=np.min_scalar_type(s)).reshape(-1)[codes]
+    inverse -= 1  # a cell's index among its column's held levels
+    full = (2 * np.arange(s + 1) - 1) / (2 * s)
+    every = full[1:]
+    every.setflags(write=False)
+    for column, inv in zip(held, inverse):
+        vals = every if column[1:].all() else full[column]
+        inv = inv.astype(np.min_scalar_type(len(vals) - 1), copy=False)
+        vals.setflags(write=False)
+        inv.setflags(write=False)
+        ps._columns.append((vals, inv))
+    return ps
 
 
 @dataclass(frozen=True)

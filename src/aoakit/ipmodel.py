@@ -35,7 +35,8 @@ An ``IpModel`` is arrays over one variable table: ``build_model`` and
 Emission is a deterministic CPLEX-LP subset (Minimize / Subject To / Bounds /
 Generals / Binaries / End, ASCII, LF, lines well under 255 characters) that
 round-trips byte-identically through ``parse_lp``, each row wrapped by one
-greedy loop (``_wrap``); MPS is a secondary format.  The text is made and read
+greedy loop (``_wrap``); MPS is a secondary format, with one ``COLUMNS`` entry
+per variable and row holding the exact sum of its terms.  The text is made and read
 in row blocks, so memory stays near the model's own size:
 ``_lp_pieces`` and ``_mps_pieces`` yield it in pieces of at most
 ``_piece_size()`` terms (from ``arrays._CHUNK_BYTES``), a line that crosses two
@@ -957,27 +958,40 @@ def parse_lp(text: str) -> IpModel:
 
 
 def _mps_columns(model: IpModel, names: np.ndarray):
-    """The ``COLUMNS`` entries of ``emit_mps``, one string per block of entries: each
-    variable's summed objective coefficient, then its row terms, variable by variable."""
-    lin_vars, inverse = np.unique(model.lin_vars, return_inverse=True)
-    lin_coefs = np.zeros(len(lin_vars), np.int64)
-    np.add.at(lin_coefs, inverse, model.lin_coefs)
-    cols = np.append(lin_vars, model.cols)
-    order = np.argsort(cols, kind="stable")
-    first = np.append(0, np.cumsum(np.bincount(cols, minlength=len(names))))  # of each variable
+    """The ``COLUMNS`` entries of ``emit_mps``, one string per block of entries: variable
+    by variable, its objective coefficient and then its rows, one entry per row.  An
+    entry's coefficient is the exact sum of the variable's terms there; a sum beyond
+    int64 is a ``ValueError`` naming the variable."""
+    n_lin = len(model.lin_vars)
+    cols = np.append(model.lin_vars, model.cols)
+    order = np.argsort(cols, kind="stable")  # a variable's objective terms, then its rows in order
+    var = cols[order]
     del cols
+    term = order - n_lin  # a row term, or an objective term if negative
+    label = np.searchsorted(model.indptr, term, "right")  # 0 (obj) if negative
+    objective = term < 0
+    coefs = np.empty(len(order), np.int64)
+    coefs[objective] = model.lin_coefs[order[objective]]
+    coefs[~objective] = model.coefs[term[~objective]]
+    del order, term, objective
     labels = np.array(["obj"] + model.row_names, dtype=object)
-    for a, b in _blocks(len(order)):
-        term = order[a:b] - len(lin_vars)  # a row term, or an objective entry if negative
-        objective = term < 0
-        coefs = np.empty(b - a, np.int64)
-        coefs[objective] = lin_coefs[order[a:b][objective]]
-        coefs[~objective] = model.coefs[term[~objective]]
-        distinct, coef_index = np.unique(coefs, return_inverse=True)
+    new = np.ones(len(var), bool)  # where an entry's terms start
+    new[1:] = (var[1:] != var[:-1]) | (label[1:] != label[:-1])
+    if not new.all():  # sum each entry's terms
+        start = np.flatnonzero(new)
+        ends = np.append(start[1:], len(var))
+        summed = ends - start > 1
+        for lo, hi in zip(start[summed].tolist(), ends[summed].tolist()):
+            if sum(coefs[lo:hi].tolist()) not in _INT64:
+                raise ValueError(f"coefficient of {names[var[lo]]} in {labels[label[lo]]} is beyond int64")
+        # int64 sums wrap, but equal the exact sums checked above
+        coefs, var, label = np.add.reduceat(coefs, start), var[start], label[start]
+    for a, b in _blocks(len(coefs)):
+        distinct, coef_index = np.unique(coefs[a:b], return_inverse=True)
         entries = np.empty((b - a, 7), dtype=object)
         entries[:, 0], entries[:, 2], entries[:, 4], entries[:, 6] = "    ", "  ", "  ", "\n"
-        entries[:, 1] = names[np.searchsorted(first, np.arange(a, b), "right") - 1]
-        entries[:, 3] = labels[np.searchsorted(model.indptr, term, "right")]  # 0 (obj) if negative
+        entries[:, 1] = names[var[a:b]]
+        entries[:, 3] = labels[label[a:b]]
         entries[:, 5] = np.array(list(map(str, distinct.tolist())), dtype=object)[coef_index]
         yield "".join(entries.ravel().tolist())
 

@@ -57,7 +57,10 @@ verbatim as the reference for the whole-block table lookups, and the earlier
 per-line ``parse_array_loop`` (every body row through ``fileio._level_row``),
 kept verbatim as the reference for the whole-buffer array reader, and the
 earlier per-line regex reader of solution files (``parse_solution_loop``),
-kept verbatim as the reference for the ``str.split`` reader.
+kept verbatim as the reference for the ``str.split`` reader, and the
+earlier offset-coded ``np.bincount`` of every block of the count table
+(``count_chunks_bincount``), kept verbatim as the reference for the
+indicator Gram products of strength 2.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import aoakit.arrays as arrays_mod
 from aoakit.arrays import (
     _CHUNK_BYTES,
     Array,
@@ -141,6 +145,32 @@ def unbalance_slow(a: Array, t: int, p: int):
         for x in itertools.product(range(1, a.n_levels + 1), repeat=t):
             total += abs(count_tuple_slow(a, x, cols) - target) ** p
     return total
+
+
+def count_chunks_bincount(a: Array, t: int):
+    """Yield the rows of ``_count_table(a, t)`` in consecutive blocks.
+
+    Each block counts its column tuples by one offset-coded ``np.bincount``,
+    sized so that the block's temporaries stay within ``_CHUNK_BYTES`` (read
+    from ``aoakit.arrays`` at each call, so a patched value holds here too).
+    ``t`` must already be checked.
+    """
+    n, s, st = a.n_runs, a.n_levels, a.n_levels**t
+    # levels stay 1-based, which saves a copy per call; the offsets take off ``ones``,
+    # the code of the all-ones level tuple
+    levels = np.ascontiguousarray(a.cells.T)
+    ones = (st - 1) // (s - 1) if s > 1 else t
+    step = max(1, arrays_mod._CHUNK_BYTES // (8 * (2 * n + st + t)))
+    tuples = itertools.combinations(range(a.n_factors), t)
+    for _ in range(0, math.comb(a.n_factors, t), step):
+        flat = itertools.chain.from_iterable(itertools.islice(tuples, step))
+        chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, t)
+        code = levels[chunk[:, 0]]
+        for c in range(1, t):
+            code *= s
+            code += levels[chunk[:, c]]
+        code += np.arange(-ones, len(chunk) * st - ones, st)[:, None]
+        yield np.bincount(code.ravel(), minlength=len(chunk) * st).reshape(-1, st)
 
 
 def is_oa_table(a: Array, t: int) -> bool:

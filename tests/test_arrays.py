@@ -31,6 +31,7 @@ from aoakit import fileio
 from conftest import random_array as draw_array
 from oracles import (
     bandwidth_table,
+    count_chunks_bincount,
     count_tuple_slow,
     hamming_slow,
     is_oa_table,
@@ -257,6 +258,126 @@ class TestCountHistogram:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 << 20
+
+
+@st.composite
+def gram_arrays(draw):
+    """An array with s from 1 and k from 2, N on either side of 8 s^2, whose
+    columns draw their cells from their own non-empty sets of levels, so
+    some columns miss levels."""
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8 * s * s + 40))
+    k = draw(st.integers(2, 12))
+    held = draw(st.lists(st.sets(st.integers(1, s), min_size=1), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.column_stack([rng.choice(sorted(levels), size=n) for levels in held])
+    return Array(cells, s)
+
+
+class TestGramPairs:
+    """The strength-2 table as indicator Gram products, against the bincount blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gram_arrays(), st.booleans(), st.sampled_from([1, 512, 1 << 20]))
+    def test_rows_and_reductions_equal_the_bincount_blocks(self, a, gram, chunk_bytes):
+        n, k, s = a.n_runs, a.n_factors, a.n_levels
+        panels, pair_panels = [], arrays_mod._pair_panels
+
+        def spied(b):
+            panels.append(b)
+            return pair_panels(b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # either kernel at any chunk size, whatever the rule would choose
+            mp.setattr(arrays_mod, "_CHUNK_BYTES", chunk_bytes)
+            mp.setattr(arrays_mod, "_gram_pairs", lambda n, k, s: gram)
+            mp.setattr(arrays_mod, "_pair_panels", spied)
+            want = list(count_chunks_bincount(a, 2))
+            got = list(arrays_mod._count_chunks(a, 2))
+            assert bool(panels) == gram
+            table = np.concatenate(want)
+            assert all(block.dtype == np.int64 for block in got)
+            assert np.array_equal(np.concatenate(got), table)
+            if gram:  # whole first columns a panel, its rows within half a chunk
+                firsts = [0, *itertools.accumulate(range(k - 1, 0, -1))]
+                ends = list(itertools.accumulate(len(block) for block in got))
+                assert set(ends) <= set(firsts)
+                assert all(block.nbytes <= max(chunk_bytes // 2, (k - 1) * s * s * 8) for block in got)
+            hist = arrays_mod._count_histogram(Array(a.cells, s), 2)
+            assert np.array_equal(hist, np.bincount(table.ravel(), minlength=n + 1))
+            balanced = np.all(table * s * s == n, axis=1)[arrays_mod._pair_rows(k)]
+            pairs = arrays_mod._balanced_pairs(Array(a.cells, s))
+            assert np.array_equal(pairs, balanced | np.eye(k, dtype=bool))
+            total = 0.0  # the float-p unbalance's row loop, over the bincount blocks
+            for block in want:
+                for row_sum in (np.abs(block - n / (s * s)) ** 1.5).sum(axis=1).tolist():
+                    total += row_sum
+            assert unbalance(Array(a.cells, s), 2, 1.5).hex() == total.hex()
+
+    def test_rule_reads_only_the_shape(self):
+        gram = arrays_mod._gram_pairs
+        for s in (1, 2, 3, 7):  # N >= 8 s^2, at the bound and below it
+            assert gram(8 * s * s, 20, s) and not gram(8 * s * s - 1, 20, s)
+        # the construction arrays of the evaluate workload: panels of 11, 60
+        # and 42 first columns
+        assert all(gram(*shape) for shape in [(686, 114, 7), (243, 122, 3), (250, 63, 5)])
+        # panels of fewer than 8 first columns, from a small k, a large N·s
+        # or a large k·s²: half (7, 4, 1) and half (7, 5, 1) among them
+        assert gram(600, 9, 2) and not gram(600, 8, 2)
+        assert gram(1500, 100, 7) and not gram(2000, 100, 7)
+        assert not gram(2401, 401, 7) and not gram(16807, 2802, 7)
+        assert not gram(2000, 10, 40)
+
+    def test_runs_past_the_float32_limit_take_the_bincount_path(self, rng, monkeypatch):
+        gram = arrays_mod._gram_pairs
+        with pytest.MonkeyPatch.context() as mp:
+            # chunks so large that every panel is wide: only the float32
+            # limit of 2^24 runs decides
+            mp.setattr(arrays_mod, "_CHUNK_BYTES", 1 << 50)
+            assert gram((1 << 24) - 1, 20, 7) and not gram(1 << 24, 20, 7)
+            assert not gram(1 << 40, 20, 1)
+        # with the limit lowered to this array's N, the predicate sends it to np.bincount
+        a = draw_array(rng, n_runs=64, n_factors=12, n_levels=2)
+        assert gram(64, 12, 2)
+        monkeypatch.setattr(arrays_mod, "_GRAM_RUNS", 64)
+
+        def refused(b):
+            raise AssertionError("indicator products past the float32 limit")
+
+        monkeypatch.setattr(arrays_mod, "_pair_panels", refused)
+        got = list(arrays_mod._count_chunks(a, 2))
+        assert all(np.array_equal(x, y) for x, y in zip(got, count_chunks_bincount(a, 2), strict=True))
+
+    def test_gram_histogram_temporaries_are_bounded(self, rng):
+        a = draw_array(rng, n_runs=3600, n_factors=260, n_levels=3)
+        assert arrays_mod._gram_pairs(a.n_runs, a.n_factors, a.n_levels)
+        tracemalloc.start()
+        try:
+            arrays_mod._count_histogram(a, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two panels of int64 rows, within half of _CHUNK_BYTES each, and the
+        # indicators and their product, within _CHUNK_BYTES: not the 2.7 MiB
+        # bool indicator of the whole array, nor its 2.3 MiB table
+        bound = 2 * arrays_mod._CHUNK_BYTES + (128 << 10)
+        assert peak <= bound < min(a.n_runs * a.n_factors * a.n_levels, comb(a.n_factors, 2) * 9 * 8)
+
+    @pytest.mark.parametrize("shape", [(20, 400, 3), (300, 400, 3)])
+    def test_balanced_pairs_do_not_hold_the_table(self, rng, shape):
+        n, k, s = shape  # one array on each side of the rule
+        a = draw_array(rng, n_runs=n, n_factors=k, n_levels=s)
+        assert arrays_mod._gram_pairs(n, k, s) == (n == 300)
+        table = comb(k, 2) * s * s * 8
+        tracemalloc.start()
+        try:
+            arrays_mod._balanced_pairs(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bincount path's transposed copy of the cells, two blocks of rows
+        # and one block's temporaries
+        assert peak <= a.cells.nbytes + 2 * arrays_mod._CHUNK_BYTES + (128 << 10) < table
 
 
 class TestToleranceUnbalance:

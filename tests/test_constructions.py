@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,23 @@ class TestDeterminism:
         assert verify_construction(b, spec) == report
         assert report.tol_measured == tolerance_table(a, 2)
         assert report.unb_measured == {p: unbalance_table(a, 2, p) for p in (1, 2, 3)}
+
+
+    def test_verify_does_not_hold_the_pair_table(self):
+        # half (3, 6, 1) is 729 x 365: its strength-2 table is 4.6 MiB
+        spec = ConstructionSpec(s=3, ell=6, kappa=1, variant="half")
+        a = construct(spec)
+        table = math.comb(a.n_factors, 2) * spec.s**2 * 8
+        tracemalloc.start()
+        try:
+            report = verify_construction(a, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        # strength 1 counts from a transposed copy of the cells, strength 2
+        # from two panels of rows and one block's indicators and product
+        assert peak <= a.cells.nbytes + 2 * arrays_mod._CHUNK_BYTES < table
 
 
 class TestMatchesTheColumnLoops:

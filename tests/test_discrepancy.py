@@ -43,6 +43,7 @@ from oracles import (
 )
 
 KERNELS = [CENTERED, WRAPAROUND, MIXTURE]
+discrepancy_mod = importlib.import_module("aoakit.discrepancy")
 COUPLINGS = {"centered": cd_coupling, "wraparound": wd_coupling, "mixture": md_coupling}
 
 
@@ -208,6 +209,20 @@ class TestPointSet:
         assert used != PointSet(p[::-1])
         assert used != PointSet(p.reshape(3, 6))
         assert used != p
+
+    @pytest.mark.parametrize("s", [1, 2, 256, 300])
+    def test_column_levels_of_an_array_equal_uniques(self, rng, s):
+        # constant columns, a column missing levels, and past s = 256 the
+        # inverse dtype of each column follows its own level count
+        cells = rng.integers(1, s + 1, size=(40, 4))
+        cells[:, 1] = s
+        cells[:, 2] = np.minimum(cells[:, 2], 255)
+        ps = points_of(Array(cells, s))
+        want = discrepancy_mod._column_levels(PointSet(ps.points))
+        for (vals, inv), (want_vals, want_inv) in zip(ps._columns, want, strict=True):
+            assert vals.tobytes() == want_vals.tobytes()
+            assert inv.dtype == want_inv.dtype and np.array_equal(inv, want_inv)
+        assert discrepancy_sq(ps, MIXTURE) == discrepancy_sq(PointSet(ps.points), MIXTURE)
 
     def test_signed_zeros_compare_and_hash_equal(self):
         plus, minus = PointSet([[0.0, 0.5]]), PointSet([[-0.0, 0.5]])

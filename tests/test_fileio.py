@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoakit
+import aoakit.fileio as fileio_mod
 from aoakit import (
     ParseError,
     catalog_add,
@@ -467,18 +468,39 @@ class TestSnapshot:
         snap = metrics_snapshot(a)
         assert (snap["cd"], snap["wd"], snap["md"]) == pinned
 
-    def test_each_columns_levels_are_taken_once(self, rng, monkeypatch):
-        # cd, wd and md share one point set: one np.unique per column, not three
-        unique, calls = np.unique, []
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 40), st.data())
+    def test_column_levels_come_from_the_cells_without_unique(self, s, n, data):
+        # cd, wd and md share one point set, whose column levels points_of
+        # takes from the integer cells: no np.unique anywhere in the snapshot,
+        # and the memo is np.unique's, bit for bit, also where columns miss
+        # levels (each column holds at least two, as the D-value needs)
+        k = data.draw(st.integers(2, 6))
+        held = data.draw(st.lists(st.sets(st.integers(1, s), min_size=2), min_size=k, max_size=k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        columns = [np.append(sorted(v)[:2], rng.choice(sorted(v), size=n - 2)) for v in held]
+        a = Array(np.column_stack(columns), s)
+        point_sets, points_of, unique = [], fileio_mod.points_of, np.unique
 
-        def counted(ar, *args, **kwargs):
-            calls.append(np.shape(ar))
-            return unique(ar, *args, **kwargs)
+        def kept(b):
+            point_sets.append(points_of(b))
+            return point_sets[-1]
 
-        monkeypatch.setattr(np, "unique", counted)
-        a = random_array(rng, n_runs=20, n_factors=5, n_levels=3)
-        metrics_snapshot(a)
-        assert calls == [(20,)] * 5
+        def refused(*args, **kwargs):
+            raise AssertionError("np.unique in metrics_snapshot")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio_mod, "points_of", kept)
+            mp.setattr(np, "unique", refused)
+            metrics_snapshot(a)
+        (ps,) = point_sets
+        assert len(ps._columns) == k
+        for x, (vals, inv) in zip(ps.points.T, ps._columns):
+            want_vals, want_inv = unique(x, return_inverse=True)
+            want_inv = want_inv.astype(np.min_scalar_type(len(want_vals) - 1))
+            assert vals.dtype == want_vals.dtype and vals.tobytes() == want_vals.tobytes()
+            assert inv.dtype == want_inv.dtype and np.array_equal(inv, want_inv)
+            assert not vals.flags.writeable and not inv.flags.writeable
 
     def test_needs_two_factors(self):
         one_col = Array(np.array([[1], [2]]), n_levels=2)

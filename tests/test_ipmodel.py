@@ -733,6 +733,40 @@ class TestMpsFormat:
         text = emit_mps(build_model(inst))
         assert "QMATRIX" not in text
 
+    @staticmethod
+    def _columns(text):
+        body = text.split("'INTORG'\n")[1].split("    MARKER")[0]
+        return body.splitlines()
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 1 << 13])
+    def test_one_entry_per_variable_and_row_at_any_piece_size(self, terms):
+        # a variable named twice in a row, or in the objective, is one entry
+        # holding the exact sum, also when its terms cross a piece
+        model = parse_lp(TestLpFormat._lp(
+            objective=" obj: 9223372036854775807 x + 1 y - 2 x + 3 y",
+            rows=" c1: x + x + y >= 1\n c2: y - y + x = 0\n c3: 2 y + x + 3 y <= 9"))
+        with TestPieces._piece_size(terms):
+            columns = self._columns(emit_mps(model))
+        assert columns == [
+            "    x  obj  9223372036854775805",
+            "    x  c1  2",
+            "    x  c2  1",
+            "    x  c3  1",
+            "    y  obj  4",
+            "    y  c1  1",
+            "    y  c2  0",
+            "    y  c3  5",
+        ]
+
+    @pytest.mark.parametrize("objective, rows, where", [
+        (" obj: 9223372036854775807 x + 9223372036854775807 x", " c1: x + y = 1", "x in obj"),
+        (" obj: x + y", " c1: x + y = 1\n c2: - 9223372036854775807 y - 2 y >= 0", "y in c2"),
+    ], ids=["objective", "row"])
+    def test_a_sum_beyond_int64_is_refused(self, objective, rows, where):
+        model = parse_lp(TestLpFormat._lp(objective=objective, rows=rows))
+        with pytest.raises(ValueError, match=f"coefficient of {where} is beyond int64"):
+            emit_mps(model)
+
 
 @st.composite
 def solution_texts(draw):
